@@ -168,9 +168,10 @@ def _common_postdominator(
         common = sets if common is None else (common & sets)
     if not common:
         return None
-    # Choose the nearest: the element of `common` with the largest
-    # postdominator set minus... walk from any block up the chain.
-    start = next(iter(blocks))
+    # Choose the nearest: walk up the postdominator chain from the first
+    # block in layout order.  ``blocks`` is a set of strings, so its own
+    # iteration order would follow the process's hash seed.
+    start = min(blocks, key=kernel.block_index)
     node: Optional[str] = start
     while node is not None:
         if node in common and node != start:

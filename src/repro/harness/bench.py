@@ -19,10 +19,11 @@ snapshots and consumed by the CI perf-smoke step.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..workloads import workload_names
 from .cache import ResultCache
@@ -39,6 +40,28 @@ def _fmt_rate(seconds: float, n: int) -> str:
 #: jobs values swept by ``--scaling`` (each gets its own cold cache so
 #: every sweep point re-executes the full grid).
 SCALING_JOBS = (1, 2, 4, 8)
+
+
+def _scaling_row(jobs: int, runs: int, wall: float, base_wall: float,
+                 cpus: int) -> Tuple[Dict[str, object], str]:
+    """One ``--scaling`` point as a JSON row and a report line.
+
+    With more workers than CPUs the ratio to ``jobs=1`` measures pool
+    overhead, not speedup: such rows carry ``"oversubscribed": true`` and
+    say so in the report."""
+    ratio = base_wall / max(wall, 1e-9)
+    oversubscribed = jobs > cpus
+    row: Dict[str, object] = {
+        "jobs": jobs,
+        "runs": runs,
+        "wall_s": round(wall, 3),
+        "runs_per_sec": round(runs / max(wall, 1e-9), 3),
+        "speedup_vs_jobs1": round(ratio, 2),
+        "oversubscribed": oversubscribed,
+    }
+    label = "  pool overhead, not speedup" if oversubscribed \
+        else "x vs jobs=1"
+    return row, f"  jobs={jobs}: {_fmt_rate(wall, runs)}   {ratio:5.2f}{label}"
 
 
 def run_bench(
@@ -90,16 +113,16 @@ def run_bench(
     t_serial = time.perf_counter() - t0
 
     # Leg 2: parallel into a cold cache.
-    cold_runner = SuiteRunner(cache=ResultCache(cache_dir), jobs=jobs)
-    t0 = time.perf_counter()
-    parallel = cold_runner.run_grid(requests)
-    t_cold = time.perf_counter() - t0
+    with SuiteRunner(cache=ResultCache(cache_dir), jobs=jobs) as cold_runner:
+        t0 = time.perf_counter()
+        parallel = cold_runner.run_grid(requests)
+        t_cold = time.perf_counter() - t0
 
     # Leg 3: fresh runner, warm cache.
-    warm_runner = SuiteRunner(cache=ResultCache(cache_dir), jobs=jobs)
-    t0 = time.perf_counter()
-    warm = warm_runner.run_grid(requests)
-    t_warm = time.perf_counter() - t0
+    with SuiteRunner(cache=ResultCache(cache_dir), jobs=jobs) as warm_runner:
+        t0 = time.perf_counter()
+        warm = warm_runner.run_grid(requests)
+        t_warm = time.perf_counter() - t0
 
     mismatches = [
         f"  {r.benchmark}/{r.backend}"
@@ -159,27 +182,20 @@ def run_bench(
         lines.append("")
         lines.append(f"scaling sweep ({n} runs per point, cold cache each):")
         base_wall = None
+        cpus = os.cpu_count() or 1
         for j in SCALING_JOBS:
-            sweep_runner = SuiteRunner(
+            with SuiteRunner(
                 cache=ResultCache(tempfile.mkdtemp(prefix="repro-bench-scale-")),
                 jobs=j,
-            )
-            t0 = time.perf_counter()
-            sweep_runner.run_grid(requests)
-            dt = time.perf_counter() - t0
+            ) as sweep_runner:
+                t0 = time.perf_counter()
+                sweep_runner.run_grid(requests)
+                dt = time.perf_counter() - t0
             if base_wall is None:
                 base_wall = dt
-            speedup = base_wall / max(dt, 1e-9)
-            scaling_rows.append({
-                "jobs": j,
-                "runs": n,
-                "wall_s": round(dt, 3),
-                "runs_per_sec": round(n / max(dt, 1e-9), 3),
-                "speedup_vs_jobs1": round(speedup, 2),
-            })
-            lines.append(
-                f"  jobs={j}: {_fmt_rate(dt, n)}   {speedup:5.2f}x vs jobs=1"
-            )
+            row, text = _scaling_row(j, n, dt, base_wall, cpus)
+            scaling_rows.append(row)
+            lines.append(text)
 
     if json_path:
         payload = _bench_payload(

@@ -208,8 +208,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=32,
         metavar="N",
-        help="for 'serve': max unique runs per scheduler batch "
-             "(default 32)",
+        help="for 'serve': max unique runs one scheduler batch takes, "
+             "hand-overs included (default 32)",
     )
     parser.add_argument(
         "--compact-every",
@@ -313,6 +313,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("completed runs are cached; re-run to retry only the "
               "failures", file=sys.stderr)
         return 3
+    finally:
+        runner.close()
 
 
 def _dispatch_runner(args: argparse.Namespace, runner: SuiteRunner,

@@ -2,14 +2,21 @@
 
 The evaluation grid — (benchmark x backend x OSU capacity) — is
 embarrassingly parallel: every run is an independent cycle-level
-simulation.  :func:`run_requests` executes a batch of
-:class:`RunRequest`\\ s on a :class:`~concurrent.futures.ProcessPoolExecutor`
-and returns :class:`~repro.harness.runner.RunResult`\\ s in request order.
+simulation.  :func:`run_requests_resilient` executes a batch of
+:class:`RunRequest`\\ s on a :class:`WorkerPool` and returns one
+:class:`RunOutcome` per request, in request order.
 
-Each worker process holds one private
-:class:`~repro.harness.runner.SuiteRunner` (disk cache off — the parent
-coordinates the cache), so compiled kernels and workloads are reused across
-the runs a worker receives.
+A :class:`WorkerPool` outlives the grid calls that use it: its processes
+start at the first submitted run, are replaced only after a broken pool
+or a timeout kill, and stop at :meth:`WorkerPool.close`.  Each worker
+holds one private :class:`~repro.harness.runner.SuiteRunner` (disk cache
+off — the parent coordinates the cache) and keeps only what makes the
+next run cheaper: workloads, compiled kernels and region-JIT code.  It
+keeps no run results.
+
+A running call can take more work: requests pushed into its
+:class:`RunFeed` join the same retry loop until the loop closes the
+feed, which it does the moment it has nothing left to run.
 
 Worker count resolution order: explicit argument, then ``REPRO_JOBS``, then
 ``os.cpu_count()``.
@@ -17,14 +24,16 @@ Worker count resolution order: explicit argument, then ``REPRO_JOBS``, then
 Fault tolerance
 ---------------
 
-:func:`run_requests_resilient` is the hardened entry point.  It survives
-the three failure classes a long sweep actually hits:
+:func:`run_requests_resilient` survives the three failure classes a
+long sweep actually hits:
 
 * **Worker death** (OOM kill, segfault, injected ``kill``) — the pool
   raises :class:`~concurrent.futures.process.BrokenProcessPool` on *every*
   in-flight future, so the culprit is unattributable; each in-flight run
   is charged one crashed attempt (documented over-charging beats losing
-  the sweep) and the pool is rebuilt.
+  the sweep) and the pool is rebuilt.  A worker that dies idle — between
+  runs, or between calls on a long-lived pool — breaks the pool too; the
+  next submit finds that out and rebuilds it.
 * **Run hangs** (livelock, injected ``hang``) — a per-run deadline; on
   expiry the whole pool is killed (a future can't be cancelled once
   running), expired runs are charged a hung attempt, and *innocent*
@@ -46,19 +55,23 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
+import signal
+import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TYPE_CHECKING,
 )
@@ -74,10 +87,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FaultPolicy",
     "GridFailure",
+    "RunFeed",
     "RunOutcome",
     "RunRequest",
+    "WorkerPool",
     "resolve_jobs",
-    "run_requests",
     "run_requests_resilient",
 ]
 
@@ -228,11 +242,18 @@ _WORKER_RUNNER: Optional["SuiteRunner"] = None
 def _init_worker(
     config: "GPUConfig",
     energy_params: "EnergyParams",
-    watchdog: Optional[WatchdogConfig] = None,
+    watchdog: Optional[WatchdogConfig],
+    parent: int,
 ) -> None:
     global _WORKER_RUNNER
     from ..energy.model import EnergyModel
     from .runner import SuiteRunner
+
+    # A worker forked from the service daemon inherits its event loop's
+    # signal handling, under which SIGTERM (a pool kill) is a no-op.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
     _WORKER_RUNNER = SuiteRunner(
         config=config,
@@ -240,6 +261,21 @@ def _init_worker(
         cache=False,
         watchdog=watchdog,
     )
+    threading.Thread(
+        target=_exit_with_parent, args=(parent,), daemon=True,
+        name="repro-worker-parent-watch",
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """A parent that dies hard (``SIGKILL``, ``os._exit``) never stops
+    its pool, and an idle worker would wait on it forever — so a worker
+    whose parent is gone exits by itself.  ``parent`` is the pid the pool
+    recorded before forking: a parent that died while this worker was
+    still starting is caught too."""
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(0)
 
 
 def _run_request(request: RunRequest) -> "RunResult":
@@ -248,50 +284,125 @@ def _run_request(request: RunRequest) -> "RunResult":
         from .faults import maybe_fire
 
         maybe_fire(request.key)
-    return _WORKER_RUNNER.run(
-        request.benchmark,
-        request.backend,
-        osu_entries=request.osu_entries,
-        window_series=request.window_series,
-        **dict(request.overrides),
-    )
+    # ``execute``, not ``run``: the parent memoizes and caches results, so
+    # a long-lived worker keeps none of them.
+    return _WORKER_RUNNER.execute(request)
 
 
 # -- parent side ------------------------------------------------------------
 
 
-def run_requests(
-    config: "GPUConfig",
-    energy_params: "EnergyParams",
-    requests: Sequence[RunRequest],
-    jobs: Optional[int] = None,
-    policy: Optional[FaultPolicy] = None,
-    watchdog: Optional[WatchdogConfig] = None,
-) -> List["RunResult"]:
-    """Run every request in worker processes; results in request order.
+class WorkerPool:
+    """Worker processes shared by every grid call that is handed the pool.
 
-    Without a ``policy`` this is the bare fast path (any failure
-    propagates).  With one, failures are retried per the policy and a
-    :class:`GridFailure` carrying partial results is raised if any request
-    still can't complete.
+    Each worker runs requests on a private runner built from ``config``,
+    ``energy_params`` and ``watchdog``.  The processes are forked at the
+    first :meth:`submit`, replaced only after :meth:`rebuild`, and
+    stopped by :meth:`close`, after which the pool refuses work.
     """
-    if not requests:
-        return []
-    if policy is None and watchdog is None:
-        jobs = min(resolve_jobs(jobs), len(requests))
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(config, energy_params),
-        ) as pool:
-            return list(pool.map(_run_request, requests))
-    outcomes = run_requests_resilient(
-        config, energy_params, requests, jobs=jobs, policy=policy,
-        watchdog=watchdog,
-    )
-    if any(not o.ok for o in outcomes):
-        raise GridFailure(outcomes)
-    return [o.result for o in outcomes]  # type: ignore[misc]
+
+    def __init__(
+        self,
+        config: "GPUConfig",
+        energy_params: "EnergyParams",
+        jobs: int,
+        watchdog: Optional[WatchdogConfig] = None,
+    ):
+        self.config = config
+        self.energy_params = energy_params
+        self.jobs = max(1, int(jobs))
+        self.watchdog = watchdog
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._running: Set[Future] = set()
+        self._closed = False
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Run ``fn(*args)`` in a worker, starting the workers if needed.
+
+        Raises :class:`BrokenProcessPool` once a worker has died, even an
+        idle one; :meth:`rebuild` replaces the workers."""
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_init_worker,
+                initargs=(self.config, self.energy_params, self.watchdog,
+                          os.getpid()),
+            )
+        future = self._executor.submit(fn, *args)
+        self._running.add(future)
+        future.add_done_callback(self._running.discard)
+        return future
+
+    def rebuild(self, kill: bool = False) -> None:
+        """Abandon the current workers; the next :meth:`submit` forks new
+        ones.  ``kill`` terminates them first — the only way to stop a
+        run that is already executing."""
+        self._drop(kill, wait=False)
+
+    def close(self) -> None:
+        """Stop every worker and wait for it to exit.  Idle workers exit
+        on the shutdown sentinel; if a run is still executing, the
+        workers are terminated."""
+        self._closed = True
+        self._drop(kill=bool(self._running), wait=True)
+
+    def _drop(self, kill: bool, wait: bool) -> None:
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        if kill:
+            for proc in list((executor._processes or {}).values()):
+                proc.terminate()
+        executor.shutdown(wait=wait, cancel_futures=True)
+
+
+class RunFeed:
+    """Thread-safe inbox of extra requests for one running grid call.
+
+    A producer :meth:`push`\\ es requests while the call runs.  The call
+    :meth:`take`\\ s them as it goes and :meth:`close`\\ s the feed when
+    it has nothing left to run, collecting whatever was pushed just
+    before.  A push after the close is refused (returns ``False``): the
+    producer still owns that request.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._items: List[RunRequest] = []
+        self._closed = False
+        self._wake: Future = Future()
+
+    @property
+    def wake(self) -> Future:
+        """Completes when a request is pushed; renewed by :meth:`take`."""
+        with self._lock:
+            return self._wake
+
+    def push(self, request: RunRequest) -> bool:
+        with self._lock:
+            if self._closed:
+                return False
+            self._items.append(request)
+            if not self._wake.done():
+                self._wake.set_result(None)
+            return True
+
+    def take(self) -> List[RunRequest]:
+        """Every request pushed since the last take, in push order."""
+        with self._lock:
+            items, self._items = self._items, []
+            if self._wake.done():
+                self._wake = Future()
+            return items
+
+    def close(self) -> List[RunRequest]:
+        """Refuse further pushes; returns the requests never taken."""
+        with self._lock:
+            self._closed = True
+            items, self._items = self._items, []
+            return items
 
 
 @dataclass
@@ -304,33 +415,25 @@ class _Tracked:
     outcome: Optional[RunOutcome] = None
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate every worker and abandon the pool (its in-flight futures
-    will resolve to :class:`BrokenProcessPool`; we no longer hold them)."""
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        proc.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def run_requests_resilient(
-    config: "GPUConfig",
-    energy_params: "EnergyParams",
+    pool: WorkerPool,
     requests: Sequence[RunRequest],
-    jobs: Optional[int] = None,
     policy: Optional[FaultPolicy] = None,
-    watchdog: Optional[WatchdogConfig] = None,
     metrics: Optional["MetricScope"] = None,
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.monotonic,
     on_outcome: Optional[Callable[[int, RunOutcome], None]] = None,
+    feed: Optional[RunFeed] = None,
+    admit: Optional[Callable[[RunRequest], bool]] = None,
 ) -> List[RunOutcome]:
-    """Run the grid with timeouts, retries, and dead-worker recovery.
+    """Run the grid on ``pool`` with timeouts, retries, and dead-worker
+    recovery.
 
     Never raises for per-run failures: every request terminates in a
     :class:`RunOutcome` (request order).  ``metrics`` (a
     :class:`~repro.obs.metrics.MetricScope`) receives ``grid.*`` failure
-    events.  ``sleep``/``clock`` are injectable for tests.
+    events.  ``sleep``/``clock`` are injectable for tests.  The caller
+    keeps ``pool`` (and its workers) for later calls and closes it.
 
     Identical requests (equal :class:`RunRequest` fields, hence equal
     :attr:`RunRequest.identity`) **dedupe to one execution**: only the
@@ -338,43 +441,53 @@ def run_requests_resilient(
     :class:`RunOutcome` sharing the executed result (``grid.deduped`` is
     emitted per duplicate).
 
+    ``feed`` adds requests while the call runs: each one taken gets the
+    next index after those already known, in push order.  ``admit(request)``
+    screens every fed request first; returning False means the caller
+    settled it itself (a cache hit, say) and it is not run here.  The call
+    closes the feed once nothing is left to run, so it never returns with
+    an accepted request unrun.  The returned list covers the fed requests
+    that were run, after the given ones.
+
     ``on_outcome`` is called as ``on_outcome(index, outcome)`` the moment
     a request reaches its terminal outcome — out of request order, from
     the calling thread.  This is the streaming hook the async service
     layer bridges onto an event loop; callbacks must not block.
     """
     policy = policy or FaultPolicy()
-    n = len(requests)
-    if n == 0:
-        return []
-    tracked = [_Tracked(req) for req in requests]
-    # Dedupe identical requests: the first occurrence is the primary and
-    # the only one executed; duplicates fan in at finalize time.
+    tracked: List[_Tracked] = []
+    # Dedupe identical requests: the first unfinished occurrence is the
+    # primary and the only one executed; duplicates fan in at finalize.
     primary_of: Dict[RunRequest, int] = {}
     duplicates: Dict[int, List[int]] = {}
-    primaries: List[int] = []
-    for i, req in enumerate(requests):
-        first = primary_of.setdefault(req, i)
-        if first == i:
-            primaries.append(i)
-        else:
-            duplicates.setdefault(first, []).append(i)
-    jobs = min(resolve_jobs(jobs), len(primaries))
-    queue: deque = deque(primaries)  # indices ready to submit now
+    queue: deque = deque()  # indices ready to submit now
     waiting: List[Tuple[float, int]] = []  # (eligible_at, index) backoff heap
     inflight: Dict[Any, Tuple[int, Optional[float]]] = {}  # fut -> (idx, deadline)
     done_count = 0
 
+    def add(requests: Iterable[RunRequest], screen: bool = False) -> int:
+        added = 0
+        for req in requests:
+            if screen and admit is not None and not admit(req):
+                continue
+            idx = len(tracked)
+            tracked.append(_Tracked(req))
+            first = primary_of.get(req)
+            if first is None or tracked[first].outcome is not None:
+                primary_of[req] = idx
+                queue.append(idx)
+            else:
+                duplicates.setdefault(first, []).append(idx)
+            added += 1
+        return added
+
+    add(requests)
+    if not tracked and feed is None:
+        return []
+
     def emit(name: str, amount: float = 1.0) -> None:
         if metrics is not None:
             metrics.inc(name, amount)
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(config, energy_params, watchdog),
-        )
 
     def finalize(idx: int, status: str, result=None) -> None:
         nonlocal done_count
@@ -393,7 +506,7 @@ def run_requests_resilient(
         emit(f"grid.{status}")
         if on_outcome is not None:
             on_outcome(idx, t.outcome)
-        for dup in duplicates.get(idx, ()):
+        for dup in duplicates.pop(idx, ()):
             d = tracked[dup]
             d.outcome = RunOutcome(
                 request=d.request,
@@ -426,19 +539,44 @@ def run_requests_resilient(
             eligible = now + policy.delay(t.request.key, t.attempts)
             heapq.heappush(waiting, (eligible, idx))
 
-    pool = make_pool()
+    def lose_pool(now: float) -> None:
+        # A dead worker poisons every in-flight future and the culprit is
+        # unattributable — charge them all rather than retry a
+        # possibly-poisonous run for free — then replace the workers.
+        for idx, _ in inflight.values():
+            record_failure(
+                idx, RunOutcome.CRASHED, "worker died (pool broken)", now,
+            )
+        inflight.clear()
+        pool.rebuild()
+        emit("grid.pool_rebuilds")
+
     try:
-        while done_count < n:
+        while True:
+            if feed is not None:
+                add(feed.take(), screen=True)
+            if done_count == len(tracked):
+                # Nothing left to run: close the feed, then run whatever
+                # was pushed before the close.
+                if feed is None or not add(feed.close(), screen=True):
+                    break
+                continue
             now = clock()
             while waiting and waiting[0][0] <= now:
                 queue.append(heapq.heappop(waiting)[1])
-            # Keep in-flight <= jobs so the submit timestamp approximates
-            # the start timestamp — the per-run deadline then measures run
-            # time, not queue time.
-            while queue and len(inflight) < jobs:
+            # Keep in-flight <= workers so the submit timestamp
+            # approximates the start timestamp — the per-run deadline then
+            # measures run time, not queue time.
+            while queue and len(inflight) < pool.jobs:
                 idx = queue.popleft()
                 tracked[idx].attempts += 1
-                fut = pool.submit(_run_request, requests[idx])
+                try:
+                    fut = pool.submit(_run_request, tracked[idx].request)
+                except BrokenProcessPool:
+                    # A worker died since the last submit — between runs,
+                    # even between calls: the pool refuses all work.
+                    lose_pool(now)
+                    fut = pool.submit(_run_request, tracked[idx].request)
                 deadline = (now + policy.timeout) if policy.timeout else None
                 inflight[fut] = (idx, deadline)
             if not inflight:
@@ -453,9 +591,14 @@ def run_requests_resilient(
             if waiting:
                 wait_for.append(waiting[0][0] - now)
             timeout = max(0.0, min(wait_for)) if wait_for else None
+            watched = set(inflight)
+            wake = feed.wake if feed is not None else None
+            if wake is not None:
+                watched.add(wake)
             done, _ = futures_wait(
-                set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
+                watched, timeout=timeout, return_when=FIRST_COMPLETED
             )
+            done.discard(wake)  # a push: taken at the top of the loop
             now = clock()
             if done:
                 broken = False
@@ -480,18 +623,7 @@ def run_requests_resilient(
                     else:
                         finalize(idx, RunOutcome.OK, result)
                 if broken:
-                    # A dead worker poisons every in-flight future and the
-                    # culprit is unattributable — charge them all rather
-                    # than retry a possibly-poisonous run for free.
-                    for doomed, (idx, _) in list(inflight.items()):
-                        record_failure(
-                            idx, RunOutcome.CRASHED,
-                            "worker died (pool broken)", now,
-                        )
-                    inflight.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = make_pool()
-                    emit("grid.pool_rebuilds")
+                    lose_pool(now)
                 continue
             # No future finished before the wait timeout: check deadlines.
             expired = [
@@ -515,12 +647,12 @@ def run_requests_resilient(
                     tracked[idx].attempts -= 1
                     queue.append(idx)
             inflight.clear()
-            _kill_pool(pool)
-            pool = make_pool()
+            pool.rebuild(kill=True)
             emit("grid.pool_rebuilds")
             emit("grid.pool_kills")
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if inflight:  # left by an exception: stop the runs we abandon
+            pool.rebuild(kill=True)
     outcomes = [t.outcome for t in tracked]
     assert all(o is not None for o in outcomes)
     return outcomes  # type: ignore[return-value]

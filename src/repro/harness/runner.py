@@ -5,6 +5,8 @@ runner memoizes results in-process, persists them in a content-addressed
 on-disk cache (:mod:`repro.harness.cache` — a warm re-run of the full
 figure suite is near-instant), and can fan independent runs out over worker
 processes (:mod:`repro.harness.parallel`, via :meth:`SuiteRunner.run_grid`).
+The worker pool lives as long as the runner: every grid call reuses the
+same processes until :meth:`SuiteRunner.close`.
 Backends:
 
 * ``baseline`` — full 2048-entry RF, GTO scheduler.
@@ -37,10 +39,11 @@ from .cache import ResultCache, cache_enabled, run_digest
 from .parallel import (
     FaultPolicy,
     GridFailure,
+    RunFeed,
     RunOutcome,
     RunRequest,
+    WorkerPool,
     resolve_jobs,
-    run_requests,
     run_requests_resilient,
 )
 
@@ -102,6 +105,11 @@ class SuiteRunner:
     resilient: per-run timeouts, retries with backoff, dead-worker
     recovery, quarantine.  Harness-level events (cache evictions, grid
     retries/failures) land in ``self.metrics`` under ``harness.*``.
+
+    Grid calls that fan out share one
+    :class:`~repro.harness.parallel.WorkerPool`, forked at the first such
+    call and kept until :meth:`close` (or the runner's end);
+    ``with SuiteRunner(...) as runner:`` closes it on exit.
     """
 
     def __init__(
@@ -138,6 +146,31 @@ class SuiteRunner:
         self._compiled: Dict[str, CompiledKernel] = {}
         self._kernel_bytes: Dict[str, bytes] = {}
         self._runs: Dict[Tuple, RunResult] = {}
+        self._pool: Optional[WorkerPool] = None
+
+    def __enter__(self) -> "SuiteRunner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop the runner's worker processes.  The runner stays usable;
+        a later grid call that fans out forks a new pool."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+
+    def _pool_for(self, jobs: int) -> WorkerPool:
+        """The runner's pool, replaced only when the worker count changes."""
+        if self._pool is not None and self._pool.jobs != jobs:
+            self.close()
+        if self._pool is None:
+            self._pool = WorkerPool(
+                self.base_config, self.energy_model.params, jobs,
+                self.watchdog,
+            )
+        return self._pool
 
     # -- building blocks -------------------------------------------------------
 
@@ -226,6 +259,22 @@ class SuiteRunner:
             self.cache.put(self._digest(request), result)
         return result
 
+    def _lookup(self, request: RunRequest) -> Optional[RunResult]:
+        """The memoized result, else the disk-cached one (then memoized)."""
+        hit = self._runs.get(self._memo_key(request))
+        if hit is None and self.cache is not None:
+            t0 = time.perf_counter()
+            hit = self.cache.get(self._digest(request))
+            if hit is not None:
+                hit.timings["cache_load"] = time.perf_counter() - t0
+                self._install(request, hit, store=False)
+        return hit
+
+    @staticmethod
+    def _check_backend(request: RunRequest) -> None:
+        if request.backend not in BACKENDS + ("regless-nc",):
+            raise ValueError(f"unknown backend {request.backend!r}")
+
     # -- main entry points ----------------------------------------------------
 
     def run(
@@ -239,21 +288,16 @@ class SuiteRunner:
         request = RunRequest.make(
             benchmark, backend, osu_entries, window_series, **config_overrides
         )
-        key = self._memo_key(request)
-        if key in self._runs:
-            return self._runs[key]
-        if backend not in BACKENDS + ("regless-nc",):
-            raise ValueError(f"unknown backend {backend!r}")
-        if self.cache is not None:
-            t0 = time.perf_counter()
-            cached = self.cache.get(self._digest(request))
-            if cached is not None:
-                cached.timings["cache_load"] = time.perf_counter() - t0
-                return self._install(request, cached, store=False)
-        return self._install(request, self._execute(request))
+        self._check_backend(request)
+        hit = self._lookup(request)
+        if hit is not None:
+            return hit
+        return self._install(request, self.execute(request))
 
-    def _execute(self, request: RunRequest) -> RunResult:
-        """Compile + simulate + account energy, with per-phase timings."""
+    def execute(self, request: RunRequest) -> RunResult:
+        """Compile + simulate + account energy, with per-phase timings.
+
+        Neither consults nor fills the memo or the disk cache."""
         t_start = time.perf_counter()
         workload = self.workload(request.benchmark)
         compiled = self.compiled(request.benchmark)
@@ -331,81 +375,43 @@ class SuiteRunner:
         ``(benchmark, backend[, osu_entries])`` tuples, and keyword dicts.
         Results come back in request order and are memoized exactly as if
         produced by :meth:`run`, so follow-up serial :meth:`run` calls are
-        hits.  With one effective worker (or one miss) execution stays
-        in-process.
-
-        When the runner has a ``policy`` or ``watchdog``, execution goes
-        through :meth:`run_grid_outcomes`; completed runs are installed in
-        the memo/cache even when others fail, and a
+        hits.  Runs go through :meth:`run_grid_outcomes`: completed runs
+        are installed in the memo/cache even when others fail, and a
         :class:`~repro.harness.parallel.GridFailure` carrying every
         per-run :class:`~repro.harness.parallel.RunOutcome` is raised if
         any request could not complete.
         """
-        if self.policy is not None or self.watchdog is not None:
-            outcomes = self.run_grid_outcomes(requests, jobs=jobs)
-            if any(not o.ok for o in outcomes):
-                raise GridFailure(outcomes)
-            return [o.result for o in outcomes]  # type: ignore[misc]
-        reqs = [self._normalize(r) for r in requests]
-        for req in reqs:  # validate backends before any dispatch
-            if req.backend not in BACKENDS + ("regless-nc",):
-                raise ValueError(f"unknown backend {req.backend!r}")
-        results: Dict[int, RunResult] = {}
-        pending: List[Tuple[int, RunRequest]] = []
-        seen: Dict[RunRequest, int] = {}
-        for i, req in enumerate(reqs):
-            key = self._memo_key(req)
-            if key in self._runs:
-                results[i] = self._runs[key]
-                continue
-            if self.cache is not None:
-                t0 = time.perf_counter()
-                cached = self.cache.get(self._digest(req))
-                if cached is not None:
-                    cached.timings["cache_load"] = time.perf_counter() - t0
-                    results[i] = self._install(req, cached, store=False)
-                    continue
-            if req in seen:  # duplicate miss: run once
-                pending.append((i, req))
-                continue
-            seen[req] = i
-            pending.append((i, req))
-
-        unique = [(i, req) for i, req in pending if seen.get(req) == i]
-        jobs = resolve_jobs(jobs if jobs is not None else self.jobs)
-        if unique:
-            if jobs <= 1 or len(unique) == 1:
-                for _, req in unique:
-                    self._install(req, self._execute(req))
-            else:
-                outs = run_requests(
-                    self.base_config,
-                    self.energy_model.params,
-                    [req for _, req in unique],
-                    jobs=jobs,
-                )
-                for (_, req), result in zip(unique, outs):
-                    self._install(req, result)
-        for i, req in pending:
-            results[i] = self._runs[self._memo_key(req)]
-        return [results[i] for i in range(len(reqs))]
+        outcomes = self.run_grid_outcomes(requests, jobs=jobs)
+        if any(not o.ok for o in outcomes):
+            raise GridFailure(outcomes)
+        return [o.result for o in outcomes]  # type: ignore[misc]
 
     def run_grid_outcomes(
         self,
         requests: Iterable[RequestLike],
         jobs: Optional[int] = None,
         on_outcome: Optional[Callable[[int, RunOutcome], None]] = None,
+        feed: Optional[RunFeed] = None,
     ) -> List[RunOutcome]:
         """Resilient grid execution: one terminal
         :class:`~repro.harness.parallel.RunOutcome` per request, never an
         exception for per-run failures.
 
         Memo/cache hits come back as ``ok`` outcomes with zero attempts;
-        misses run under the runner's fault policy (timeouts, retries,
-        quarantine — see :func:`~repro.harness.parallel.run_requests_resilient`)
-        and the runner's watchdog config.  Successful runs are installed
-        in the memo and disk cache regardless of how the rest of the grid
-        fared, so partial results always survive.
+        identical misses run once; misses run under the runner's fault
+        policy (timeouts, retries, quarantine — see
+        :func:`~repro.harness.parallel.run_requests_resilient`) and the
+        runner's watchdog config.  With one effective worker, or a single
+        miss, they run in this process; otherwise on the runner's pool.
+        Successful runs are installed in the memo and disk cache
+        regardless of how the rest of the grid fared, so partial results
+        always survive.
+
+        ``feed`` (a :class:`~repro.harness.parallel.RunFeed`) lets the
+        caller add requests while the call runs; they get the next
+        indices, in push order, and the returned list covers them too.  A
+        call with a feed always runs on the pool, and closes the feed
+        once it has nothing left to run.
 
         ``on_outcome(index, outcome)`` fires the moment each request
         reaches its terminal outcome — hits immediately, executed runs as
@@ -416,63 +422,49 @@ class SuiteRunner:
         """
         reqs = [self._normalize(r) for r in requests]
         for req in reqs:
-            if req.backend not in BACKENDS + ("regless-nc",):
-                raise ValueError(f"unknown backend {req.backend!r}")
+            self._check_backend(req)
         deliver = on_outcome if on_outcome is not None else (lambda i, o: None)
-        outcomes: Dict[int, RunOutcome] = {}
-        pending: List[Tuple[int, RunRequest]] = []
-        seen: Dict[RunRequest, int] = {}
-        pending_by_req: Dict[RunRequest, List[int]] = {}
-        for i, req in enumerate(reqs):
-            key = self._memo_key(req)
-            if key in self._runs:
-                outcomes[i] = RunOutcome(req, RunOutcome.OK, self._runs[key])
+        outcomes: List[Optional[RunOutcome]] = []
+        #: executing request -> the indices waiting for its outcome
+        awaiting: Dict[RunRequest, List[int]] = {}
+
+        def admit(req: RunRequest) -> bool:
+            """Number ``req``; settle it from the memo or cache, or attach
+            it to an identical pending run.  True iff it must execute."""
+            i = len(outcomes)
+            outcomes.append(None)
+            hit = self._lookup(req)
+            if hit is not None:
+                outcomes[i] = RunOutcome(req, RunOutcome.OK, hit)
                 deliver(i, outcomes[i])
-                continue
-            if self.cache is not None:
-                t0 = time.perf_counter()
-                cached = self.cache.get(self._digest(req))
-                if cached is not None:
-                    cached.timings["cache_load"] = time.perf_counter() - t0
-                    result = self._install(req, cached, store=False)
-                    outcomes[i] = RunOutcome(req, RunOutcome.OK, result)
-                    deliver(i, outcomes[i])
-                    continue
-            if req not in seen:
-                seen[req] = i
-            pending.append((i, req))
-            pending_by_req.setdefault(req, []).append(i)
+                return False
+            first = req not in awaiting
+            awaiting.setdefault(req, []).append(i)
+            return first
 
-        unique = [(i, req) for i, req in pending if seen.get(req) == i]
-        jobs_n = resolve_jobs(jobs if jobs is not None else self.jobs)
-        by_req: Dict[RunRequest, RunOutcome] = {}
-
-        def resolve(req: RunRequest, out: RunOutcome) -> None:
+        def resolve(out: RunOutcome) -> None:
             if out.ok and out.result is not None:
-                self._install(req, out.result)
-            by_req[req] = out
-            for i in pending_by_req[req]:
+                self._install(out.request, out.result)
+            for i in awaiting.pop(out.request):
+                outcomes[i] = out
                 deliver(i, out)
 
-        if unique:
-            if jobs_n <= 1 or len(unique) == 1:
-                for _, req in unique:
-                    resolve(req, self._execute_resilient(req))
-            else:
-                unique_reqs = [req for _, req in unique]
-                run_requests_resilient(
-                    self.base_config,
-                    self.energy_model.params,
-                    unique_reqs,
-                    jobs=jobs_n,
-                    policy=self.policy,
-                    watchdog=self.watchdog,
-                    metrics=self._metrics_scope,
-                    on_outcome=lambda pos, out: resolve(unique_reqs[pos], out),
-                )
-        for i, req in pending:
-            outcomes[i] = by_req[req]
-        return [outcomes[i] for i in range(len(reqs))]
+        misses = [req for req in reqs if admit(req)]
+        jobs_n = resolve_jobs(jobs if jobs is not None else self.jobs)
+        if feed is None and (jobs_n <= 1 or len(misses) <= 1):
+            for req in misses:
+                resolve(self._execute_resilient(req))
+        elif misses or feed is not None:
+            run_requests_resilient(
+                self._pool_for(jobs_n),
+                misses,
+                policy=self.policy,
+                metrics=self._metrics_scope,
+                on_outcome=lambda _, out: resolve(out),
+                feed=feed,
+                admit=admit,
+            )
+        return outcomes  # type: ignore[return-value]
 
     def _execute_resilient(self, request: RunRequest) -> RunOutcome:
         """In-process counterpart of the resilient worker loop (used when
@@ -487,7 +479,7 @@ class SuiteRunner:
         while True:
             attempts += 1
             try:
-                result = self._execute(request)
+                result = self.execute(request)
             except SimulationHang as exc:
                 kind, last_error = RunOutcome.HUNG, str(exc)
                 last_diagnostics = exc.diagnostics

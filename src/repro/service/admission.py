@@ -96,6 +96,20 @@ class AdmissionController:
         if execution is not None:
             execution.started = True
 
+    def unstart(self, request: RunRequest) -> bool:
+        """Undo :meth:`mark_started` for an execution no batch took.
+
+        True iff it should be queued again; one nobody wants any more
+        is discarded instead."""
+        execution = self._inflight.get(request.identity)
+        if execution is None:
+            return False
+        if not execution.subscribers:
+            del self._inflight[request.identity]
+            return False
+        execution.started = False
+        return True
+
     def resolve(self, request: RunRequest,
                 outcome: RunOutcome) -> List[Subscriber]:
         """Retire the execution; returns every subscriber to notify."""

@@ -12,13 +12,22 @@ All engine state lives on the event-loop thread.  Simulation happens in
 items, dedupes them through the :class:`AdmissionController`, and hands
 the unique requests to one executor thread running
 :meth:`SuiteRunner.run_grid_outcomes` — cache hits return instantly,
-misses fan out over the resilient process pool, and every per-run
+misses run on the runner's long-lived process pool, and every per-run
 outcome is marshalled back onto the loop via ``call_soon_threadsafe``
 the moment it lands (the ``on_outcome`` hook added to the harness for
-exactly this).  One batch runs at a time, so the :class:`SuiteRunner`
-never sees concurrent mutation; requests submitted while a batch is in
-flight either attach to its in-flight executions (admission dedupe) or
-queue for the next batch.
+exactly this).
+
+One batch call runs at a time, so the :class:`SuiteRunner` never sees
+concurrent mutation, but a running batch keeps taking work.  With more
+than one worker it gets a :class:`~repro.harness.parallel.RunFeed`, and
+whenever fewer than ``jobs`` of its runs are unresolved — a worker
+freed, or it never had enough — the engine hands it the most urgent
+queued runs, journaling a ``start`` record for each hand-over first.
+Hand-overs stop once the batch has taken ``max_batch_runs`` runs, while
+draining, and whenever the breaker is not closed.  A run the batch
+refuses (it closed its feed first) goes back on the queue for the next
+batch.  Requests submitted while a batch runs attach to its in-flight
+executions (admission dedupe), join it by hand-over, or queue.
 
 The PR-5 resilience machinery is the service's SLO layer: the engine's
 ``FaultPolicy``/``WatchdogConfig`` bound per-run wall-clock and retries,
@@ -60,7 +69,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..harness.faults import service_kill_point
-from ..harness.parallel import FaultPolicy, RunOutcome, RunRequest
+from ..harness.parallel import FaultPolicy, RunFeed, RunOutcome, RunRequest
 from ..harness.runner import SuiteRunner
 from ..obs.metrics import MetricsRegistry, bucket_125
 from ..sim.watchdog import WatchdogConfig
@@ -69,7 +78,8 @@ from .journal import JournalStore
 from .quotas import QuotaGate, TenantQuota
 from .schemas import job_to_wire, outcome_to_wire, request_from_wire, \
     request_to_wire
-from .supervisor import BreakerConfig, OverloadedError, Supervisor
+from .supervisor import BreakerConfig, CircuitBreaker, OverloadedError, \
+    Supervisor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..harness.cache import ResultCache
@@ -219,9 +229,9 @@ class JobStore:
 class ServiceConfig:
     """Everything the engine needs besides an event loop."""
 
-    #: worker processes per batch (the harness process pool).
+    #: worker processes (the runner's long-lived pool; 1 = in-process).
     jobs: int = 1
-    #: unique runs handed to one executor batch at a time.
+    #: unique runs one executor batch takes, hand-overs included.
     max_batch_runs: int = 32
     #: default per-tenant limits (override per tenant via ``per_tenant``).
     quota: TenantQuota = field(default_factory=TenantQuota)
@@ -247,6 +257,26 @@ class ServiceConfig:
     default_deadline: Optional[float] = None
     #: deadline sweeper poll interval in seconds.
     deadline_poll: float = 0.25
+
+
+#: a priority-heap item: (class order, seq, request identity).
+WorkItem = Tuple[int, int, str]
+
+
+@dataclass
+class _Batch:
+    """The executing batch: every run it took, in hand-over order."""
+
+    #: extra runs for the executor thread (``None`` = one worker, no
+    #: hand-overs).
+    feed: Optional[RunFeed]
+    #: per run index: (heap item, request, perf_counter at hand-over).
+    runs: List[Tuple[WorkItem, RunRequest, float]] = field(
+        default_factory=list)
+    #: runs handed over and not yet resolved.
+    unresolved: int = 0
+    #: run statuses, for the supervisor's batch health probe.
+    statuses: List[str] = field(default_factory=list)
 
 
 class ServiceEngine:
@@ -276,8 +306,8 @@ class ServiceEngine:
         self.jobs: Dict[str, Job] = {}
         self._order: List[str] = []  # submission order, for listings
         self._seq = 0
-        #: priority heap of (class order, seq, request identity).
-        self._work: List[Tuple[int, int, str]] = []
+        #: priority heap of queued executions.
+        self._work: List[WorkItem] = []
         self._wake = asyncio.Event()
         self._subscribers: Dict[str, List[asyncio.Queue]] = {}
         self._executor = ThreadPoolExecutor(
@@ -285,7 +315,7 @@ class ServiceEngine:
         )
         self._scheduler_task: Optional[asyncio.Task] = None
         self._deadline_task: Optional[asyncio.Task] = None
-        self._batch_busy = False
+        self._batch: Optional[_Batch] = None
         self._idle = asyncio.Event()
         self._idle.set()
         self.draining = False
@@ -338,6 +368,7 @@ class ServiceEngine:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
         self._executor.shutdown(wait=False)
+        self.runner.close()
         if self.store is not None:
             self.store.close()
 
@@ -416,6 +447,7 @@ class ServiceEngine:
         self.metrics.inc("jobs.submitted")
         self.metrics.inc("runs.submitted", len(job.requests))
         self._maybe_compact()
+        self._hand_over()
         self._wake.set()
         return job
 
@@ -510,30 +542,35 @@ class ServiceEngine:
                  job.requests[index].identity),
             )
 
-    def _collect_batch(self) -> List[RunRequest]:
-        """Drain queued executions (most urgent first) into a batch."""
-        batch: List[RunRequest] = []
-        while self._work and len(batch) < self.config.max_batch_runs:
-            _, _, identity = heapq.heappop(self._work)
-            execution = self.admission.execution(identity)
+    def _collect_batch(
+            self, limit: int) -> List[Tuple[WorkItem, RunRequest]]:
+        """Pop up to ``limit`` queued executions, most urgent first."""
+        batch: List[Tuple[WorkItem, RunRequest]] = []
+        while self._work and len(batch) < limit:
+            item = heapq.heappop(self._work)
+            execution = self.admission.execution(item[2])
             # Gone (cancelled away), already batched, or orphaned: skip.
             if execution is None or execution.started \
                     or not execution.subscribers:
                 continue
-            batch.append(execution.request)
-            for job_id, _ in execution.subscribers:
-                job = self.jobs.get(job_id)
-                if job is not None and job.status == Job.QUEUED:
-                    job.status = Job.RUNNING
-                    # Queue-wait latency: submit -> first dispatch, into a
-                    # 1-2-5 bucketed histogram (``service.queue.wait_ms``).
-                    # Monotonic on both ends: a wall-clock step must not
-                    # produce negative or inflated samples.
-                    wait_ms = max(
-                        0.0, (time.monotonic() - job.submitted_mono) * 1000.0
-                    )
-                    self.metrics.observe("queue.wait_ms", bucket_125(wait_ms))
+            batch.append((item, execution.request))
         return batch
+
+    def _taken(self, request: RunRequest) -> None:
+        """The executing batch took ``request``: its queued jobs run."""
+        execution = self.admission.execution(request.identity)
+        for job_id, _ in (execution.subscribers if execution else ()):
+            job = self.jobs.get(job_id)
+            if job is not None and job.status == Job.QUEUED:
+                job.status = Job.RUNNING
+                # Queue-wait latency: submit -> first run taken, into a
+                # 1-2-5 bucketed histogram (``service.queue.wait_ms``).
+                # Monotonic on both ends: a wall-clock step must not
+                # produce negative or inflated samples.
+                wait_ms = max(
+                    0.0, (time.monotonic() - job.submitted_mono) * 1000.0
+                )
+                self.metrics.observe("queue.wait_ms", bucket_125(wait_ms))
 
     async def _scheduler(self) -> None:
         while not self._stopped:
@@ -550,49 +587,95 @@ class ServiceEngine:
                         max(0.005, self.supervisor.breaker.retry_after()),
                     ))
                     continue
-                batch = self._collect_batch()
-                if not batch:
+                runs = self._collect_batch(self.config.max_batch_runs)
+                if not runs:
                     break
                 self._idle.clear()
-                self._batch_busy = True
                 try:
-                    await self._run_batch(batch)
+                    await self._run_batch(runs)
                 finally:
-                    self._batch_busy = False
                     if not self._work or self.draining:
                         self._idle.set()
             if self.draining:
                 self._idle.set()
                 return
 
-    async def _run_batch(self, batch: List[RunRequest]) -> None:
-        loop = asyncio.get_running_loop()
+    def _start(self, batch: _Batch,
+               runs: List[Tuple[WorkItem, RunRequest]]) -> None:
+        """Journal ``runs`` as started, then add them to ``batch``."""
         service_kill_point("dispatch.pre")
         self._journal({"type": "start",
-                       "runs": [request.identity for request in batch]})
-        for request in batch:
+                       "runs": [request.identity for _, request in runs]})
+        now = time.perf_counter()
+        for item, request in runs:
             self.admission.mark_started(request)
-        self.metrics.inc("batches")
-        self.metrics.inc("runs.dispatched", len(batch))
+            batch.runs.append((item, request, now))
+        batch.unresolved += len(runs)
+        self.metrics.inc("runs.dispatched", len(runs))
 
-        t_dispatch = time.perf_counter()
-        statuses: List[str] = []  # batch health probe for the supervisor
+    def _hand_over(self) -> None:
+        """Top the running batch up to ``jobs`` unresolved runs with the
+        most urgent queued ones (never past ``max_batch_runs``)."""
+        batch = self._batch
+        if batch is None or batch.feed is None or self.draining \
+                or self._stopped \
+                or self.supervisor.breaker.state != CircuitBreaker.CLOSED:
+            return
+        room = min(self.config.jobs - batch.unresolved,
+                   self.config.max_batch_runs - len(batch.runs))
+        if room <= 0 or not self._work:
+            return
+        runs = self._collect_batch(room)
+        if not runs:
+            return
+        self._start(batch, runs)
+        for pushed, (_, request) in enumerate(runs):
+            if not batch.feed.push(request):
+                self._return(batch, len(runs) - pushed)
+                break
+            self._taken(request)
+            self.metrics.inc("runs.handed_over")
+
+    def _return(self, batch: _Batch, count: int) -> None:
+        """Put the batch's last ``count`` runs, which it never took, back
+        on the queue for the next batch."""
+        keep = len(batch.runs) - count
+        returned, batch.runs[keep:] = batch.runs[keep:], []
+        batch.unresolved -= count
+        self.metrics.inc("runs.dispatched", -count)
+        for item, request, _ in returned:
+            if self.admission.unstart(request):
+                heapq.heappush(self._work, item)
+        self._wake.set()
+
+    async def _run_batch(self,
+                         runs: List[Tuple[WorkItem, RunRequest]]) -> None:
+        loop = asyncio.get_running_loop()
+        batch = _Batch(RunFeed() if self.config.jobs > 1 else None)
+        self._start(batch, runs)
+        self.metrics.inc("batches")
+        initial = [request for _, request in runs]
+        for request in initial:
+            self._taken(request)
 
         def callback(index: int, outcome: RunOutcome) -> None:
             # Executor-thread side: marshal onto the loop and return.
-            # Exec latency = dispatch -> outcome arrival (cache hits land
-            # in the lowest buckets, real simulations in the upper ones).
-            exec_ms = (time.perf_counter() - t_dispatch) * 1000.0
-            statuses.append(outcome.status)
+            # Exec latency = this run's hand-over -> outcome arrival (cache
+            # hits land in the lowest buckets, simulations in the upper).
+            _, request, handed = batch.runs[index]
+            exec_ms = (time.perf_counter() - handed) * 1000.0
+            batch.statuses.append(outcome.status)
             loop.call_soon_threadsafe(
-                self._on_outcome, batch[index], outcome, exec_ms
+                self._batch_outcome, batch, request, outcome, exec_ms
             )
 
         def run() -> None:
             self.runner.run_grid_outcomes(
-                batch, jobs=self.config.jobs, on_outcome=callback
+                initial, jobs=self.config.jobs, on_outcome=callback,
+                feed=batch.feed,
             )
 
+        self._batch = batch
         broke = False
         try:
             await loop.run_in_executor(self._executor, run)
@@ -600,14 +683,29 @@ class ServiceEngine:
             broke = True
             self.metrics.inc("batches.broken")
             error = f"batch execution failed: {type(exc).__name__}: {exc}"
-            for request in batch:
+        finally:
+            self._batch = None
+        if batch.feed is not None:
+            untaken = batch.feed.close()
+            if untaken:
+                self._return(batch, len(untaken))
+        if broke:
+            for _, request, _ in batch.runs:
                 if self.admission.is_inflight(request):
-                    statuses.append(RunOutcome.CRASHED)
+                    batch.statuses.append(RunOutcome.CRASHED)
                     self._on_outcome(
                         request,
                         RunOutcome(request, RunOutcome.CRASHED, error=error),
                     )
-        self.supervisor.observe_batch(statuses, broke=broke)
+        self.supervisor.observe_batch(batch.statuses, broke=broke)
+
+    def _batch_outcome(self, batch: _Batch, request: RunRequest,
+                       outcome: RunOutcome, exec_ms: float) -> None:
+        """A run of ``batch`` resolved: publish it, then refill the worker
+        it freed."""
+        batch.unresolved -= 1
+        self._on_outcome(request, outcome, exec_ms)
+        self._hand_over()
 
     def _on_outcome(self, request: RunRequest, outcome: RunOutcome,
                     exec_ms: Optional[float] = None) -> None:
@@ -716,7 +814,7 @@ class ServiceEngine:
             "queued_work": len(self._work),
             "inflight_executions": len(self.admission),
             "deduped": self.admission.deduped,
-            "batch_busy": self._batch_busy,
+            "batch_busy": self._batch is not None,
             "breaker": self.supervisor.breaker.state,
         }
 

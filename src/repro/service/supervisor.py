@@ -15,10 +15,11 @@ it came back ``crashed``/``hung``/``quarantined`` — and trips a
   submissions are shed with :class:`BreakerOpen` (HTTP 503 +
   ``Retry-After``), and no batch dispatches until ``reset_timeout``
   elapses.
-* ``half_open`` — the first dispatch after the timeout is the recovery
-  probe (the engine runs one batch at a time, so the probe is naturally
-  singular).  A healthy probe closes the breaker; a bad one reopens it
-  and restarts the timeout.
+* ``half_open`` — the first batch dispatched after the timeout is the
+  recovery probe.  It stays a single batch of the runs it started with:
+  the engine runs one batch call at a time and hands a running batch no
+  further runs unless the breaker is closed.  A healthy probe closes
+  the breaker; a bad one reopens it and restarts the timeout.
 
 State transitions are counted under ``service.breaker.*`` and the clock
 is injectable, so tests drive the whole state machine deterministically.

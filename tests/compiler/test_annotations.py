@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.compiler import (
     RegionConfig,
     analyze_liveness,
@@ -127,3 +132,29 @@ class TestMetadataCounts:
         k = b.build()
         ck = compile_kernel(k)
         assert all(a.n_metadata_insns == 1 for a in ck.annotations)
+
+
+#: prints one ``<kernel> <sha256 of its kernel_bytes>`` line per kernel.
+KERNEL_DIGESTS = """
+import hashlib
+from repro.harness import SuiteRunner
+from repro.workloads import workload_names
+runner = SuiteRunner(cache=False)
+for name in workload_names():
+    print(name, hashlib.sha256(runner.kernel_bytes(name)).hexdigest())
+"""
+
+
+def test_compiled_kernels_do_not_depend_on_hash_seed():
+    """Annotation placement once walked a set of block labels in hash
+    order, so a kernel (and every cache key built from it) could differ
+    between processes with different ``PYTHONHASHSEED``."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    digests = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", KERNEL_DIGESTS], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(dict(line.split() for line in out.stdout.splitlines()))
+    assert len(digests[0]) == 21
+    assert digests[0] == digests[1]

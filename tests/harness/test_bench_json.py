@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from types import SimpleNamespace
 
-from repro.harness.bench import _bench_payload
+from repro.harness.bench import _bench_payload, _scaling_row
 from repro.harness.parallel import RunRequest
 
 
@@ -135,3 +135,18 @@ def test_all_fallback_grid_has_zero_hit_rate():
 def test_scaling_block_only_present_when_swept():
     without = build_payload([fake_result(jit=JIT)])
     assert "scaling" not in without
+
+
+def test_oversubscribed_scaling_rows_are_labelled():
+    # 4 workers on 2 CPUs: the ratio is pool overhead, not speedup
+    row, text = _scaling_row(4, 10, wall=2.0, base_wall=1.5, cpus=2)
+    assert row["oversubscribed"] is True
+    assert "pool overhead, not speedup" in text
+    assert "x vs jobs=1" not in text
+    assert row["speedup_vs_jobs1"] == 0.75
+    json.dumps(row)
+
+    row, text = _scaling_row(2, 10, wall=1.0, base_wall=1.5, cpus=2)
+    assert row["oversubscribed"] is False
+    assert "x vs jobs=1" in text
+    assert "pool overhead" not in text

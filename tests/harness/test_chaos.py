@@ -41,7 +41,8 @@ from repro.harness.faults import (
     parse_plan,
     truncate_file,
 )
-from repro.harness.parallel import RunRequest, run_requests_resilient
+from repro.harness.parallel import RunRequest, WorkerPool, \
+    run_requests_resilient
 from repro.obs.metrics import MetricsRegistry
 from repro.regless import ReglessStorage
 from repro.sim import (
@@ -176,15 +177,17 @@ class TestHangs:
     def test_hang_detected_killed_and_retried(self, tmp_path, golden):
         specs = [FaultSpec("hang", "nw/baseline", count=1, delay=60.0)]
         registry = MetricsRegistry()
+        pool = WorkerPool(GPUConfig(), EnergyModel().params, jobs=1)
         with injected_faults(specs, str(tmp_path / "claims")):
-            outcomes = run_requests_resilient(
-                GPUConfig(),
-                EnergyModel().params,
-                [RunRequest.make("nw", "baseline")],
-                jobs=1,
-                policy=FaultPolicy(timeout=5.0, retries=2, backoff=0.05),
-                metrics=registry.scope("harness"),
-            )
+            try:
+                outcomes = run_requests_resilient(
+                    pool,
+                    [RunRequest.make("nw", "baseline")],
+                    policy=FaultPolicy(timeout=5.0, retries=2, backoff=0.05),
+                    metrics=registry.scope("harness"),
+                )
+            finally:
+                pool.close()
         (outcome,) = outcomes
         assert outcome.status == RunOutcome.OK
         assert outcome.attempts == 2

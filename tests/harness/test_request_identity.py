@@ -18,7 +18,7 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 from repro.energy.model import EnergyModel
-from repro.harness.parallel import RunOutcome, RunRequest, \
+from repro.harness.parallel import RunOutcome, RunRequest, WorkerPool, \
     run_requests_resilient
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import GPUConfig
@@ -84,14 +84,16 @@ def test_equal_requests_dedupe_to_one_execution():
     other = RunRequest.make("nw", "baseline")
     registry = MetricsRegistry()
     delivered = {}
-    outcomes = run_requests_resilient(
-        GPUConfig(**SMALL),
-        EnergyModel().params,
-        [dup, dup, other, dup],
-        jobs=2,
-        metrics=registry.scope("harness"),
-        on_outcome=lambda i, o: delivered.setdefault(i, o),
-    )
+    pool = WorkerPool(GPUConfig(**SMALL), EnergyModel().params, jobs=2)
+    try:
+        outcomes = run_requests_resilient(
+            pool,
+            [dup, dup, other, dup],
+            metrics=registry.scope("harness"),
+            on_outcome=lambda i, o: delivered.setdefault(i, o),
+        )
+    finally:
+        pool.close()
     assert [o.status for o in outcomes] == [RunOutcome.OK] * 4
     # One execution: duplicates share the primary's result object and
     # attempt accounting, and each dedupe is metered.

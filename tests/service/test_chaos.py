@@ -73,12 +73,12 @@ def cache_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("chaos-cache"))
 
 
-def boot_daemon(tmp_path, env):
+def boot_daemon(tmp_path, env, jobs=1, batch_runs=1):
     """Start the real CLI daemon; returns (process, port)."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.harness", "serve", "--port", "0",
-         "--state-dir", str(tmp_path / "state"), "--jobs", "1",
-         "--batch-runs", "1", "--compact-every", "2"],
+         "--state-dir", str(tmp_path / "state"), "--jobs", str(jobs),
+         "--batch-runs", str(batch_runs), "--compact-every", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env, cwd=str(REPO_ROOT),
     )
@@ -195,6 +195,131 @@ class TestKillAnywhere:
         assert_converged(result, golden)
         assert metrics.get("service.runs.dispatched", 0) == 0
         assert metrics.get("service.jobs.done", 0) == 1
+
+
+def children(pid):
+    """Live (non-zombie) child processes of ``pid``, from ``/proc``."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == pid and state not in "ZX":
+            kids.append(int(entry))
+    return kids
+
+
+def running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except OSError:
+        return False
+
+
+class TestPooledDaemon:
+    """The same convergence with a 2-worker pool and multi-run batches:
+    the first life's two jobs arrive back to back, so the second one's
+    run is usually handed over to the first one's running batch."""
+
+    # ``skip`` lets earlier firings pass (a ``torn`` spec is consumed and
+    # ignored at a non-journal point), so ``dispatch.pre`` also dies at
+    # the second dispatch — a hand-over when the timing allows.
+    @pytest.mark.parametrize("point,skip", [(p, 0) for p in KILL_POINTS]
+                             + [("dispatch.pre", 1)])
+    def test_pooled_daemon_killed_at_point_converges(self, tmp_path, golden,
+                                                     point, skip):
+        specs = [ServiceFaultSpec("torn", point, count=skip)] if skip else []
+        specs.append(ServiceFaultSpec("kill", point))
+        # a private cache, so the runs simulate on the pool
+        env = chaos_env(tmp_path, str(tmp_path / "cache"), specs)
+        proc, port = boot_daemon(tmp_path, env, jobs=2, batch_runs=4)
+        try:
+            client = ServiceClient("127.0.0.1", port, timeout=120, retries=0)
+            ids = [submit_expecting_crash(client, [run]) for run in RUNS]
+            proc.wait(timeout=120)
+        finally:
+            end_daemon(proc)
+        assert proc.returncode == KILL_EXIT_CODE, point
+
+        proc2, port2 = boot_daemon(tmp_path, env, jobs=2, batch_runs=4)
+        try:
+            client2 = ServiceClient("127.0.0.1", port2, timeout=120)
+            # at most one submit can be in doubt: the one the crash cut
+            unknown = [j["id"] for j in client2.jobs() if j["id"] not in ids]
+            assert len(unknown) <= 1
+            results = []
+            for run, job_id in zip(RUNS, ids):
+                if job_id is None:
+                    job_id = unknown.pop() if unknown else \
+                        client2.submit([run])["id"]
+                results.append((run, client2.wait(job_id)))
+        finally:
+            end_daemon(proc2)
+        for run, result in results:
+            assert_converged(result, golden, runs=[run])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestWorkerLifetime:
+    """The daemon's long-lived pool never outlives it."""
+
+    def pooled_daemon(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        proc, port = boot_daemon(tmp_path, env, jobs=2, batch_runs=4)
+        client = ServiceClient("127.0.0.1", port, timeout=120)
+        runs = [{"benchmark": name, "backend": "baseline",
+                 "overrides": SMALL} for name in ("bfs", "nw")]
+        result = client.wait(client.submit(runs)["id"])
+        assert result["job"]["status"] == "done"
+        workers = children(proc.pid)
+        assert len(workers) == 2  # forked at the first dispatch, kept
+        return proc, client, workers
+
+    def test_worker_killed_between_jobs_is_replaced(self, tmp_path):
+        proc, client, workers = self.pooled_daemon(tmp_path)
+        try:
+            os.kill(workers[0], signal.SIGKILL)  # dies idle, between jobs
+            # the pool sees the death and stops the other worker too
+            deadline = time.monotonic() + 30
+            while any(running(pid) for pid in workers):
+                assert time.monotonic() < deadline, "broken pool not noticed"
+                time.sleep(0.05)
+            runs = [{"benchmark": name, "backend": "regless",
+                     "overrides": SMALL} for name in ("bfs", "nw")]
+            result = client.wait(client.submit(runs)["id"])
+            replaced = children(proc.pid)
+        finally:
+            output = end_daemon(proc)
+        assert proc.returncode == 0, output
+        assert result["job"]["status"] == "done"
+        assert [(run["status"], run["attempts"]) for run in result["runs"]] \
+            == [("ok", 1)] * 2  # nothing charged for the idle death
+        assert len(replaced) == 2 and not set(replaced) & set(workers)
+
+    def test_sigterm_drain_leaves_no_worker(self, tmp_path):
+        proc, _, workers = self.pooled_daemon(tmp_path)
+        output = end_daemon(proc)
+        assert proc.returncode == 0, output
+        assert not any(running(pid) for pid in workers)
+
+    def test_hard_killed_daemon_workers_exit(self, tmp_path):
+        proc, _, workers = self.pooled_daemon(tmp_path)
+        proc.kill()  # no drain, no atexit: the workers are orphaned
+        proc.wait(timeout=60)
+        try:
+            deadline = time.monotonic() + 10
+            while any(running(pid) for pid in workers):
+                assert time.monotonic() < deadline, "orphaned workers linger"
+                time.sleep(0.1)
+        finally:
+            proc.stdout.close()
 
 
 class TestTornJournal:

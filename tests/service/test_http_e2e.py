@@ -111,12 +111,13 @@ class GatedRunner(SuiteRunner):
         self.dispatched = threading.Event()
         self.batches = []
 
-    def run_grid_outcomes(self, requests, jobs=None, on_outcome=None):
+    def run_grid_outcomes(self, requests, jobs=None, on_outcome=None,
+                          feed=None):
         self.batches.append(list(requests))
         self.dispatched.set()
         assert self.gate.wait(timeout=60)
         return super().run_grid_outcomes(requests, jobs=jobs,
-                                         on_outcome=on_outcome)
+                                         on_outcome=on_outcome, feed=feed)
 
 
 class TestConcurrentDedupe:
@@ -225,7 +226,8 @@ class TestHangDiagnostics:
         diag = self.DIAG
 
         class HangRunner(FakeRunner):
-            def run_grid_outcomes(self, requests, jobs=None, on_outcome=None):
+            def run_grid_outcomes(self, requests, jobs=None, on_outcome=None,
+                                  feed=None):
                 outcomes = []
                 for i, request in enumerate(requests):
                     outcome = RunOutcome(

@@ -46,7 +46,8 @@ class FakeRunner:
         self.gate.set()
         self.dispatched = threading.Event()
 
-    def run_grid_outcomes(self, requests, jobs=None, on_outcome=None):
+    def run_grid_outcomes(self, requests, jobs=None, on_outcome=None,
+                          feed=None):
         self.batches.append(list(requests))
         self.dispatched.set()
         assert self.gate.wait(timeout=30)
@@ -63,6 +64,9 @@ class FakeRunner:
                 on_outcome(i, outcome)
             outcomes.append(outcome)
         return outcomes
+
+    def close(self):
+        pass
 
 
 def make_engine(runner=None, **config):
@@ -446,9 +450,10 @@ class TestEventSequences:
 class TestDeadlines:
     def test_overdue_job_degrades_to_partial_results(self):
         class OneBatchRunner(FakeRunner):
-            def run_grid_outcomes(self, requests, jobs=None, on_outcome=None):
+            def run_grid_outcomes(self, requests, jobs=None, on_outcome=None,
+                                  feed=None):
                 result = super().run_grid_outcomes(
-                    requests, jobs=jobs, on_outcome=on_outcome
+                    requests, jobs=jobs, on_outcome=on_outcome, feed=feed
                 )
                 self.gate.clear()  # the next batch blocks until released
                 return result
@@ -535,12 +540,13 @@ class TestBackpressureAndBreaker:
                 super().__init__()
                 self.explosions = 0
 
-            def run_grid_outcomes(self, requests, jobs=None, on_outcome=None):
+            def run_grid_outcomes(self, requests, jobs=None, on_outcome=None,
+                                  feed=None):
                 if self.explosions < 2:
                     self.explosions += 1
                     raise RuntimeError("pool burned down")
                 return super().run_grid_outcomes(
-                    requests, jobs=jobs, on_outcome=on_outcome
+                    requests, jobs=jobs, on_outcome=on_outcome, feed=feed
                 )
 
         async def main():
