@@ -213,13 +213,6 @@ def run_bench(
     return "\n".join(lines)
 
 
-#: per-shard ``batch.*`` counters summed into the grid aggregate.
-_BATCH_SUM_KEYS = (
-    "cohorts", "batched_warps", "singleton_warps", "scalar_classified",
-    "reused_commits", "fresh_passes", "gate_shared", "matrix_warps",
-)
-
-
 def _bench_payload(
     names: Sequence[str],
     backends: Sequence[str],
@@ -239,12 +232,6 @@ def _bench_payload(
     jit_agg = {"armed_shards": 0, "shards": 0, "compile_s": 0.0,
                "steps": 0, "issued_via_jit": 0, "fallback_issued": 0,
                "runs_with_jit": 0, "runs_missing_jit": 0}
-    batch_agg: Dict[str, object] = {
-        "armed_shards": 0, "shards": 0,
-        "runs_with_batch": 0, "runs_missing_batch": 0,
-    }
-    for k in _BATCH_SUM_KEYS:
-        batch_agg[k] = 0
     for req, res, wall in zip(requests, serial, serial_wall):
         # A run replayed from a PR-5-era cache entry predates the ``jit``
         # field entirely, and a ``REPRO_JIT=0`` run records an empty dict;
@@ -268,23 +255,6 @@ def _bench_payload(
             jit_agg["issued_via_jit"] += int(jit.get(prefix + "issued", 0))
             jit_agg["fallback_issued"] += int(
                 jit.get(prefix + "fallback_issued", 0))
-        # Cohort-batching aggregate: same tolerance rules (the field is
-        # newer still, and REPRO_BATCH=0 / refused shards record only
-        # armed + reason).
-        braw = getattr(res, "batch", None)
-        batch = dict(braw) if isinstance(braw, dict) else {}
-        if batch:
-            batch_agg["runs_with_batch"] += 1
-        else:
-            batch_agg["runs_missing_batch"] += 1
-        for key, val in batch.items():
-            if not key.endswith(".armed"):
-                continue
-            prefix = key[: -len("armed")]
-            batch_agg["shards"] += 1
-            batch_agg["armed_shards"] += int(bool(val))
-            for k in _BATCH_SUM_KEYS:
-                batch_agg[k] += int(batch.get(prefix + k, 0))
         runs.append({
             "benchmark": req.benchmark,
             "backend": req.backend,
@@ -295,17 +265,8 @@ def _bench_payload(
             "cycles_per_sec": round(res.stats.cycles / max(wall, 1e-9), 1),
             "stall_warp_cycles": sum(res.stats.stalls.values()),
             "jit": jit,
-            "batch": batch,
         })
     jit_agg["compile_s"] = round(jit_agg["compile_s"], 4)
-    # Cohort hit rate: fraction of account-pass warp classifications that
-    # landed in a >=2-warp cohort (vs singleton cohorts and warps classified
-    # scalar because their stall class isn't coverable).
-    denom = (batch_agg["batched_warps"] + batch_agg["singleton_warps"]
-             + batch_agg["scalar_classified"])
-    batch_agg["cohort_hit_rate"] = (
-        round(batch_agg["batched_warps"] / denom, 4) if denom else 0.0
-    )
     payload: Dict[str, object] = {
         "benchmarks": list(names),
         "backends": list(backends),
@@ -319,7 +280,6 @@ def _bench_payload(
         "serial_equals_parallel": serial_parallel_ok,
         "warm_equals_serial": warm_ok,
         "jit": jit_agg,
-        "batch": batch_agg,
         "runs": runs,
     }
     if scaling_rows is not None:

@@ -83,15 +83,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_RENDER) + ["all", "validate", "seeds", "robustness",
-                                   "export", "bench", "stalls", "trace",
-                                   "serve"],
+        choices=sorted(_RENDER) + ["all", "validate", "seeds", "export",
+                                   "bench", "stalls", "trace", "serve"],
         help="which table/figure to regenerate ('validate' checks the "
              "paper's claims; 'bench' times the execution layer; 'stalls' "
              "prints the warp-cycle stall breakdown; 'trace' records a "
-             "pipeline trace; 'seeds' runs the seed-stability study — "
-             "'robustness' is its deprecated alias; 'serve' starts the "
-             "simulation-service daemon, see docs/service.md)",
+             "pipeline trace; 'seeds' runs the seed-stability study; "
+             "'serve' starts the simulation-service daemon, see "
+             "docs/service.md)",
     )
     parser.add_argument(
         "benchmarks",
@@ -337,17 +336,7 @@ def _dispatch_runner(args: argparse.Namespace, runner: SuiteRunner,
         claims = validate_claims(runner, args.names)
         print(render_claims(claims))
         return 0 if all(c.ok for c in claims) else 1
-    if args.experiment in ("seeds", "robustness"):
-        if args.experiment == "robustness":
-            # stdout is machine-parsed by pipelines; the deprecation note
-            # must go to stderr so the alias's stdout stays byte-identical
-            # to the `seeds` verb (regression: tests/harness/test_cli_seeds_alias.py).
-            print(
-                "note: the 'robustness' verb is deprecated (it now names "
-                "the resilience layer, see docs/robustness.md); use "
-                "'seeds' for the seed-stability study",
-                file=sys.stderr,
-            )
+    if args.experiment == "seeds":
         kwargs = {"names": args.names} if args.names else {}
         print(render_robustness(seed_robustness(**kwargs)))
         return 0

@@ -106,16 +106,6 @@ class ShardStallTracker:
         self._last = cycle_bins
         self._repeat = 1
 
-    def extend(self) -> None:
-        """Record one cycle proven equal to the last committed one.
-
-        The cohort-batched account pass tracks bin-changing events
-        itself; when none occurred it skips rebuilding the histogram
-        *and* the dict comparison :meth:`commit` would pay, extending
-        the run-length encoding directly.  Caller contract: at least
-        one cycle has been committed since construction."""
-        self._repeat += 1
-
     def replay(self, cycles: int) -> None:
         """Account ``cycles`` fast-forwarded cycles as copies of the last
         simulated (dead) cycle — no simulator state changes while the

@@ -36,15 +36,6 @@ class OperandStorage:
     #: set this False and their blocked warps stay in the ready set.
     parkable = True
 
-    #: May cohort batching (repro.sim.warpbatch) share this storage's
-    #: admission verdict across same-pc warps and cache ready-warp stall
-    #: classifications between cycles?  Requires ``can_issue`` success to
-    #: be side-effect free *and* every verdict/classification change for a
-    #: live warp to flow through one of that warp's own events (its issue,
-    #: writeback, exit) or a ``notify_wake``.  RFV's emergency valve counts
-    #: failed attempts, so it sets this False.
-    lockstep_pure = True
-
     def __init__(self) -> None:
         self.shard: Optional["Shard"] = None
 

@@ -35,14 +35,6 @@ class ReglessStorage(OperandStorage):
 
     name = "regless"
 
-    #: context/region transitions for a live warp flow only through that
-    #: warp's own issues/writebacks/exit or a CM ``notify_wake`` (preload
-    #: completion, activation), so cached ready-warp classifications stay
-    #: valid between events — cohort batching is sound.  The per-cycle
-    #: preloading/OSU-port arbitration lives in *parked* bins, which the
-    #: batched account refreshes every cycle like the scalar pass.
-    lockstep_pure = True
-
     def __init__(self, compiled: CompiledKernel, config: Optional[ReglessConfig] = None):
         super().__init__()
         self.compiled = compiled

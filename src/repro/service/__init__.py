@@ -30,7 +30,7 @@ from .admission import AdmissionController
 from .app import ServiceApp, serve
 from .client import ServiceClient, ServiceError
 from .journal import JournalStore
-from .queue import DrainingError, Job, JobStore, Priority, ServiceConfig, \
+from .queue import DrainingError, Job, Priority, ServiceConfig, \
     ServiceEngine
 from .quotas import QuotaError, QuotaGate, RateLimited, TenantQuota, TokenBucket
 from .schemas import SpecError, job_to_wire, outcome_to_wire, parse_job_spec, \
@@ -45,7 +45,6 @@ __all__ = [
     "CircuitBreaker",
     "DrainingError",
     "Job",
-    "JobStore",
     "JournalStore",
     "OverloadedError",
     "Priority",

@@ -49,8 +49,9 @@ __all__ = ["JournalStore", "SNAPSHOT_VERSION", "WAL_HEADER"]
 #: journal file magic + format version; bumped on frame-layout changes.
 WAL_HEADER = b"RGWL\x01"
 
-#: snapshot schema — identical to the legacy ``JobStore`` layout so
-#: state files written before the journal existed still load.
+#: snapshot schema (``version`` / ``seq`` / ``saved_at`` / ``jobs``);
+#: unchanged since before the journal existed, so those state files
+#: still load.  Bumped on layout changes.
 SNAPSHOT_VERSION = 1
 
 _LEN = struct.Struct("<I")
@@ -67,7 +68,7 @@ class JournalStore:
     def __init__(self, path: str, fsync: bool = True,
                  compact_every: int = 256,
                  metrics: Optional["MetricScope"] = None):
-        #: snapshot path (the legacy ``service-state.json`` location).
+        #: snapshot path; the journal is ``<path>.wal``.
         self.path = path
         self.wal_path = path + ".wal"
         self.fsync = fsync

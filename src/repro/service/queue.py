@@ -59,9 +59,6 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import json
-import os
-import tempfile
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
@@ -88,15 +85,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DrainingError",
     "Job",
-    "JobStore",
     "Priority",
     "ServiceConfig",
     "ServiceEngine",
 ]
-
-#: persisted job-store schema; bumped on layout changes.
-STORE_VERSION = 1
-
 
 class Priority:
     """Priority classes, most urgent first."""
@@ -179,50 +171,6 @@ class Job:
             error=record.get("error", ""),
             deadline_s=record.get("deadline_s"),
         )
-
-
-class JobStore:
-    """Atomic JSON snapshot of the job table.
-
-    This is the legacy one-shot persistence layer (rewrite-on-save); the
-    engine now persists through :class:`~repro.service.journal.JournalStore`,
-    which writes the *same* snapshot format at compaction time, so files
-    produced by either load in both."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def save(self, jobs: List[Job], seq: int) -> None:
-        payload = {
-            "version": STORE_VERSION,
-            "seq": seq,
-            "saved_at": time.time(),
-            "jobs": [job.to_record() for job in jobs],
-        }
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def load(self) -> Tuple[List[Job], int]:
-        try:
-            with open(self.path) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            return [], 0
-        if payload.get("version") != STORE_VERSION:
-            return [], 0
-        jobs = [Job.from_record(r) for r in payload.get("jobs", [])]
-        return jobs, int(payload.get("seq", 0))
 
 
 @dataclass
@@ -542,7 +490,7 @@ class ServiceEngine:
                  job.requests[index].identity),
             )
 
-    def _collect_batch(
+    def _pop_queued(
             self, limit: int) -> List[Tuple[WorkItem, RunRequest]]:
         """Pop up to ``limit`` queued executions, most urgent first."""
         batch: List[Tuple[WorkItem, RunRequest]] = []
@@ -587,7 +535,7 @@ class ServiceEngine:
                         max(0.005, self.supervisor.breaker.retry_after()),
                     ))
                     continue
-                runs = self._collect_batch(self.config.max_batch_runs)
+                runs = self._pop_queued(self.config.max_batch_runs)
                 if not runs:
                     break
                 self._idle.clear()
@@ -625,7 +573,7 @@ class ServiceEngine:
                    self.config.max_batch_runs - len(batch.runs))
         if room <= 0 or not self._work:
             return
-        runs = self._collect_batch(room)
+        runs = self._pop_queued(room)
         if not runs:
             return
         self._start(batch, runs)
@@ -666,7 +614,7 @@ class ServiceEngine:
             exec_ms = (time.perf_counter() - handed) * 1000.0
             batch.statuses.append(outcome.status)
             loop.call_soon_threadsafe(
-                self._batch_outcome, batch, request, outcome, exec_ms
+                self._run_resolved, batch, request, outcome, exec_ms
             )
 
         def run() -> None:
@@ -699,7 +647,7 @@ class ServiceEngine:
                     )
         self.supervisor.observe_batch(batch.statuses, broke=broke)
 
-    def _batch_outcome(self, batch: _Batch, request: RunRequest,
+    def _run_resolved(self, batch: _Batch, request: RunRequest,
                        outcome: RunOutcome, exec_ms: float) -> None:
         """A run of ``batch`` resolved: publish it, then refill the worker
         it freed."""

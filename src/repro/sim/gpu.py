@@ -333,15 +333,6 @@ class GPU:
 
         return regionjit.collect_jit(self)
 
-    def collect_batch(self) -> Dict[str, object]:
-        """Flat ``sm{i}.shard{j}.batch.*`` observability paths for cohort
-        batching (armed/fallback reasons, cohort size histogram, batched
-        vs scalar accounting counts).  Same contract as
-        :meth:`collect_jit`: never part of :class:`SimStats`."""
-        from . import warpbatch
-
-        return warpbatch.collect_batch(self)
-
     def _work_outstanding(self) -> bool:
         return (
             self.wheel.pending_events > 0
@@ -380,7 +371,6 @@ def run_simulation(
     watchdog: Optional[Watchdog] = None,
     max_cycles: Optional[int] = None,
     jit_out: Optional[Dict[str, object]] = None,
-    batch_out: Optional[Dict[str, object]] = None,
 ) -> SimStats:
     """Convenience wrapper: build a GPU and run it.
 
@@ -388,14 +378,11 @@ def run_simulation(
     (:mod:`repro.sim.watchdog`); ``max_cycles`` overrides the config's
     safety ceiling for this run only.  Either way the run is bounded: a
     config with no ceiling falls back to :data:`DEFAULT_MAX_CYCLES`.
-    ``jit_out`` / ``batch_out``, when given, receive the region-JIT and
-    cohort-batching observability paths (:meth:`GPU.collect_jit` /
-    :meth:`GPU.collect_batch`) after the run.
+    ``jit_out``, when given, receives the region-JIT observability paths
+    (:meth:`GPU.collect_jit`) after the run.
     """
     gpu = GPU(config, compiled, workload, storage_factory, watchdog=watchdog)
     stats = gpu.run(window_series=window_series, max_cycles=max_cycles)
     if jit_out is not None:
         jit_out.update(gpu.collect_jit())
-    if batch_out is not None:
-        batch_out.update(gpu.collect_batch())
     return stats

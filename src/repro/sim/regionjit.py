@@ -79,7 +79,6 @@ from .shard import (
     _Writeback,
 )
 from .values import LaneValues, ZERO
-from . import warpbatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gpu import GPU
@@ -261,19 +260,8 @@ def _step_source(pc: int, insn: Instruction, flavor: str, *,
                  reconv: Optional[int], rid: int, hit_idx: int,
                  region_start: bool, rfh_assignment=None,
                  demotes: bool = False, inline_counts: bool = False,
-                 storage=None, batch: bool = False,
-                 cohort: bool = False) -> str:
-    """Source of one ``_step_{pc}(shard, warp, now, top)`` function.
-
-    With ``batch`` the step participates in cohort batching: LDG/STG
-    consume matrix-materialized lane addresses when the account pass
-    staged them.  With ``cohort`` (implies ``batch``) the *cohort
-    variant* ``_cstep_{pc}`` is generated instead: it takes the issuing
-    CTA of the cycle's same-pc run as an extra argument and shares the
-    previous member's operand-storage admission verdict when the CTA
-    matches.  Everything else (write-back pushes included) is the plain
-    step body — same pc means same latency, so cohort members' wheel
-    pushes land in the same bucket in scalar FIFO order already."""
+                 storage=None) -> str:
+    """Source of one ``_step_{pc}(shard, warp, now, top)`` function."""
     body: List[str] = []
     emit = body.append
 
@@ -286,15 +274,7 @@ def _step_source(pc: int, insn: Instruction, flavor: str, *,
     # 2. operand-storage gate (interpreter: storage.can_issue); a gate
     # failure parks under the stall_reason bin, computed inline.
     if flavor in ("baseline", "rfh"):
-        if cohort:
-            # Cohort member: the previous member's residency verdict for
-            # the same CTA is provably still valid (retirement requires
-            # every warp of the CTA exited, and that member is live).
-            emit("if warp.cta_id == b_cta:")
-            emit("    BST.gate_shared += 1")
-            emit("elif warp.cta_id not in shard._jit_resident:")
-        else:
-            emit("if warp.cta_id not in shard._jit_resident:")
+        emit("if warp.cta_id not in shard._jit_resident:")
         emit("    shard.scheduler.notify_long_stall(warp)")
         body.extend(_park_lines('"occupancy"', demotes, True, "    "))
         emit("    return PARK")
@@ -410,11 +390,10 @@ def _step_source(pc: int, insn: Instruction, flavor: str, *,
     wb_src = _wb_source(pc, insn, flavor, storage, rfh_assignment,
                         inline_counts=inline_counts)
     wb = f"AFTER({lat}, _WBC(_wb_{pc}, shard, warp))"
-    wb_alu = [wb]
 
     def _finish() -> str:
-        src = _render(pc, body, cohort=cohort)
-        if not cohort and any("_WBC(" in line for line in body):
+        src = _render(pc, body)
+        if any("_WBC(" in line for line in body):
             src += "\n" + wb_src
         return src
 
@@ -443,20 +422,8 @@ def _step_source(pc: int, insn: Instruction, flavor: str, *,
             if "rg.get(" in src:
                 emit("rg = warp.regs")
             emit(f"addr = {src}")
-            if batch:
-                # The account pass may have matrix-materialized this
-                # warp's lane addresses with its cohort (bit-identical
-                # rows); consume the staged entry, else compute scalar.
-                # The truth test keeps the common empty-staging case to
-                # one dict check instead of a tuple alloc + pop miss.
-                emit("lines = BLINES.pop((warp.wid,"
-                     f" {pc}), None) if BLINES else None")
-                emit("if lines is None:")
-                emit(f"    lines = addr.line_addresses({line_bytes},"
-                     f" shard._jit_divlines)")
-            else:
-                emit(f"lines = addr.line_addresses({line_bytes},"
-                     f" shard._jit_divlines)")
+            emit(f"lines = addr.line_addresses({line_bytes},"
+                 f" shard._jit_divlines)")
             if op is Opcode.STG:
                 emit("req = shard._jit_mem_request")
                 emit("smid = shard._jit_sm_id")
@@ -494,7 +461,7 @@ def _step_source(pc: int, insn: Instruction, flavor: str, *,
         emit(f"m = shard._jit_pred_mask(warp.wid, {pc}, {insn.tag!r})")
         emit(f"warp.preds[{p}] = m & {FULL_MASK}")
         body.extend(_mark_pending_lines(insn))
-        body.extend(wb_alu)
+        emit(wb)
         body.extend(fused_tail)
         return _finish()
 
@@ -511,7 +478,7 @@ def _step_source(pc: int, insn: Instruction, flavor: str, *,
         else:
             emit(f"warp.write_reg(RD{pc}, v, (top.mask & gm) == top.mask)")
         body.extend(_mark_pending_lines(insn))
-        body.extend(wb_alu)
+        emit(wb)
 
     body.extend(fused_tail)
     return _finish()
@@ -612,11 +579,7 @@ def _wb_source(pc: int, insn: Instruction, flavor: str, storage,
     return "\n".join(lines) + "\n"
 
 
-def _render(pc: int, body: List[str], *, cohort: bool = False) -> str:
-    if cohort:
-        lines = [f"def _cstep_{pc}(shard, warp, now, top, b_cta):"]
-        lines.extend(f"    {line}" for line in body)
-        return "\n".join(lines) + "\n"
+def _render(pc: int, body: List[str]) -> str:
     lines = [f"def _step_{pc}(shard, warp, now, top):"]
     lines.extend(f"    {line}" for line in body)
     return "\n".join(lines) + "\n"
@@ -692,63 +655,6 @@ def _classify_source(flavor: str, demotes: bool, program_len: int) -> str:
         e("    if not ELIGIBLE(warp):")
         e('        return "demoted"')
     e('    return "issue_width"')
-    return "\n".join(L) + "\n"
-
-
-def _classify_b_source(flavor: str, program_len: int) -> str:
-    """The cohort-cache classifier: ``_classify``'s exact ladder returning
-    ``(bin, pc)`` tuples — the covered map and the cohort metrics need the
-    effective pc, which the ladder computes anyway — with the memory-class
-    tail collapsed to the :data:`repro.sim.warpbatch.MEMSENS` sentinel (a
-    MEMSENS warp's bin flips between ``mem_slot`` and ``issue_width`` with
-    the SM's LDST slot; the account pass parity-resolves the whole cohort
-    at commit time).  Only generated for non-demoting schedulers, so the
-    "demoted" arm vanishes; rfv never batches (impure admission)."""
-    L: List[str] = ["def _classify_b(warp, now):"]
-    e = L.append
-    e("    if warp.exited:")
-    e('        return ("exited", -1)')
-    e("    if warp.at_barrier:")
-    e('        return ("barrier", -1)')
-    e("    if now < warp.stall_until:")
-    e('        return ("pipeline", -1)')
-    e("    stack = warp.stack")
-    e("    i = len(stack) - 1")
-    e("    entry = stack[i]")
-    e("    while i > 0 and entry.pc == entry.reconv_pc:")
-    e("        i -= 1")
-    e("        entry = stack[i]")
-    e("    pc = entry.pc")
-    e(f"    if pc >= {program_len}:")
-    e('        return ("exited", -1)')
-    e("    insn = PROGRAM[pc]")
-    e("    if not warp.scoreboard_ready(insn):")
-    e("        pl = warp.pending_loads")
-    e("        if pl:")
-    e("            for i in insn.src_idx:")
-    e("                if i in pl:")
-    e('                    return ("mem_pending", pc)')
-    e('        return ("scoreboard", pc)')
-    if flavor in ("baseline", "rfh"):
-        e("    if warp.cta_id not in RESIDENT:")
-        e('        return ("occupancy", pc)')
-    elif flavor == "regless":
-        e("    ctx = CM_CTX[warp.wid]")
-        e("    st = ctx.state")
-        e("    if st is ACTIVE:")
-        e("        region = ctx.region")
-        e("        if region is None or not"
-          " (region.start_pc <= pc < region.end_pc):")
-        e('            return ("cm_inactive", pc)')
-        e("    elif st is PRELOADING:")
-        e("        if OSU_BLOCKED(warp.wid):")
-        e('            return ("osu_port", pc)')
-        e('        return ("cm_preloading", pc)')
-        e("    else:")
-        e('        return ("cm_inactive", pc)')
-    e("    if insn.is_mem:")
-    e("        return (MEMSENS, pc)")
-    e('    return ("issue_width", pc)')
     return "\n".join(L) + "\n"
 
 
@@ -877,7 +783,7 @@ def _account_source(flavor: str, demotes: bool) -> str:
 
 def _cycle_source(two_level: bool, has_stalls: bool,
                   issue_width: int, program_len: int,
-                  storage_pump: bool, batch: bool = False) -> str:
+                  storage_pump: bool) -> str:
     """A specialized ``Shard.cycle``: the interpreter loop with the JIT
     driver's prologue inlined per candidate (quick-fail parks use their
     statically-known bins), scheduler begin_cycle/quiescent resolved
@@ -918,15 +824,6 @@ def _cycle_source(two_level: bool, has_stalls: bool,
     e("    if READY:")
     e("        scan = shard._scan = BEGIN_SCAN(now)")
     e("        next_c = scan.next_candidate")
-    if batch:
-        # b_pc/b_cta track the last successful issue through a
-        # cohort-capable step this cycle; a same-pc successor candidate
-        # dispatches the cohort variant, which shares the issuer's
-        # storage-gate verdict when the CTA matches.  Cycle-locals, not
-        # shard attributes: the common non-cohort issue pays one tuple
-        # index and (at most) two local stores.
-        e("        b_pc = -1")
-        e("        b_cta = -1")
     e(f"        budget = {issue_width}")
     e("        while budget > 0:")
     e("            warp = next_c()")
@@ -960,27 +857,12 @@ def _cycle_source(two_level: bool, has_stalls: bool,
     e("                if warp.ready:")
     e("                    shard._park(warp, 'exited')")
     e("                continue")
-    if batch:
-        # The cohort-capability test lives on the (rare) same-pc
-        # dispatch, keeping the common issue path to two local stores.
-        e("            if pc == b_pc:")
-        e("                f = _CSTEPS[pc]")
-        e("                if f is not None:")
-        e("                    code = f(shard, warp, now, top, b_cta)")
-        e("                else:")
-        e("                    code = _STEPS[pc](shard, warp, now, top)")
-        e("            else:")
-        e("                code = _STEPS[pc](shard, warp, now, top)")
-    else:
-        e("            code = _STEPS[pc](shard, warp, now, top)")
+    e("            code = _STEPS[pc](shard, warp, now, top)")
     e("            if code is OK:")
     e("                budget -= 1")
     e("                issued += 1")
     e("                issued_warps.append(warp)")
     e("                NOTIFY_ISSUE(warp, now)")
-    if batch:
-        e("                b_pc = pc")
-        e("                b_cta = warp.cta_id")
     e("                if budget > 0 and not (warp.exited or warp.at_barrier"
       " or now < warp.stall_until):")
     e("                    stack = warp.stack")
@@ -996,10 +878,6 @@ def _cycle_source(two_level: bool, has_stalls: bool,
     e("                    elif _STEPS[pc](shard, warp, now, top) is OK:")
     e("                        budget -= 1")
     e("                        issued += 1")
-    if batch:
-        # The dual-issued instruction advanced the pc (and may have
-        # exited the warp); the armed verdict no longer describes it.
-        e("                        b_pc = -1")
     e("                if warp.exited or warp.at_barrier:")
     e("                    shard._park(warp, _classify(warp, now))")
     e("            elif code is PARK:")
@@ -1011,11 +889,8 @@ def _cycle_source(two_level: bool, has_stalls: bool,
     return "\n".join(L) + "\n"
 
 
-def _program_source(shard: Shard, flavor: str,
-                    batch: bool = False) -> Tuple[str, int, int, set]:
-    """Full generated module source + (compiled, generic) step counts +
-    the set of compiled LDG/STG pcs with a Reg address operand (the
-    matrix lane-materialization candidates when ``batch``)."""
+def _program_source(shard: Shard, flavor: str) -> Tuple[str, int, int]:
+    """Full generated module source + (compiled, generic) step counts."""
     sm = shard.sm
     compiled = sm.compiled
     program = sm.program
@@ -1032,61 +907,35 @@ def _program_source(shard: Shard, flavor: str,
     }
     chunks: List[str] = []
     n_ok = n_generic = 0
-    mem_pcs: set = set()
-    has_cstep = [False] * len(program)
     for pc, insn in enumerate(program):
         rid = compiled.region_id_of_pc(pc)
         hit_idx = rid if rid >= 0 else n_regions
         banner = region_banner.get(pc)
         if banner is not None:
             chunks.append(banner + "\n")
-        kw = dict(
-            line_bytes=sm.config.line_bytes,
-            branch_target=(
-                sm.block_start(insn.target)
-                if insn.info.is_branch and insn.target is not None
-                else None
-            ),
-            reconv=sm.reconv_pc(pc) if insn.info.is_branch else None,
-            rid=rid,
-            hit_idx=hit_idx,
-            region_start=rid >= 0 and compiled.is_region_start(pc),
-            rfh_assignment=rfh_assignment,
-            demotes=demotes,
-            inline_counts=inline_counts,
-            storage=shard.storage,
-            batch=batch,
-        )
         try:
-            chunks.append(_step_source(pc, insn, flavor, **kw))
+            chunks.append(_step_source(
+                pc, insn, flavor,
+                line_bytes=sm.config.line_bytes,
+                branch_target=(
+                    sm.block_start(insn.target)
+                    if insn.info.is_branch and insn.target is not None
+                    else None
+                ),
+                reconv=sm.reconv_pc(pc) if insn.info.is_branch else None,
+                rid=rid,
+                hit_idx=hit_idx,
+                region_start=rid >= 0 and compiled.is_region_start(pc),
+                rfh_assignment=rfh_assignment,
+                demotes=demotes,
+                inline_counts=inline_counts,
+                storage=shard.storage,
+            ))
             n_ok += 1
         except _Unsupported:
             chunks.append(_generic_source(pc))
             n_generic += 1
-            continue
-        if not batch:
-            continue
-        op = insn.opcode
-        info = insn.info
-        if (op is Opcode.LDG or op is Opcode.STG) and insn.srcs \
-                and type(insn.srcs[0]) is Reg:
-            mem_pcs.add(pc)
-        # Cohort variants: non-mem, non-control ALU/SETP steps of the
-        # flavors whose storage gate has a shareable verdict (the plain
-        # step compiled, so the cohort body compiles from the same
-        # expressions).  RegLess gains nothing from a cohort variant —
-        # its gate is a per-warp CM context test — so it skips the
-        # whole dispatch (empty _CSTEPS elides it from the loop).
-        if (flavor in ("baseline", "rfh")
-                and not insn.is_mem and not info.is_branch
-                and not info.is_exit and not info.is_barrier
-                and ((op is Opcode.SETP and insn.pred_dsts)
-                     or (op is not Opcode.SETP and insn.reg_dsts))):
-            chunks.append(_step_source(pc, insn, flavor, cohort=True, **kw))
-            has_cstep[pc] = True
     chunks.append(_classify_source(flavor, demotes, len(program)))
-    if batch:
-        chunks.append(_classify_b_source(flavor, len(program)))
     if _full_loop(shard):
         chunks.append(_reevaluate_source(flavor, demotes, len(program)))
         if shard.stalls is not None:
@@ -1101,21 +950,10 @@ def _program_source(shard: Shard, flavor: str,
             storage_pump=(
                 type(shard.storage).has_work is not OperandStorage.has_work
             ),
-            # The cohort dispatch only earns its per-candidate compare
-            # when some pc actually has a cohort variant.
-            batch=batch and any(has_cstep),
         ))
     names = ", ".join(f"_step_{pc}" for pc in range(len(program)))
     chunks.append(f"_STEPS = ({names}{',' if len(program) == 1 else ''})\n")
-    if batch:
-        cnames = ", ".join(
-            f"_cstep_{pc}" if has_cstep[pc] else "None"
-            for pc in range(len(program))
-        )
-        chunks.append(
-            f"_CSTEPS = ({cnames}{',' if len(program) == 1 else ''})\n"
-        )
-    return "\n".join(chunks), n_ok, n_generic, mem_pcs
+    return "\n".join(chunks), n_ok, n_generic
 
 
 def _full_loop(shard: Shard) -> bool:
@@ -1254,17 +1092,10 @@ def _build_globals(shard: Shard, flavor: str) -> Dict[str, object]:
 def _arm_shard(gpu: "GPU", shard: Shard) -> Dict[str, object]:
     reason = _compat_reason(gpu, shard)
     if reason is not None:
-        return {"armed": 0, "reason": reason,
-                "batch": {"armed": 0, "reason": warpbatch.off_reason()}}
+        return {"armed": 0, "reason": reason}
     flavor = _EXACT_FLAVORS[type(shard.storage)]
-    # Cohort batching rides beneath the JIT: decide before generation so
-    # the cycle loop / steps / classifier include the batch machinery.
-    batch_reason = warpbatch.compat_reason(
-        shard, full_loop=_full_loop(shard)
-    )
-    batch = batch_reason is None
     t0 = time.perf_counter()
-    source, n_ok, n_generic, mem_pcs = _program_source(shard, flavor, batch)
+    source, n_ok, n_generic = _program_source(shard, flavor)
     code = _CODE_CACHE.get(source)
     cache_hit = code is not None
     if code is None:
@@ -1335,21 +1166,6 @@ def _arm_shard(gpu: "GPU", shard: Shard) -> Dict[str, object]:
         if "_account_stalls" in g:
             shard._account_stalls = MethodType(g["_account_stalls"], shard)
         shard.cycle = MethodType(g["_cycle"], shard)
-    if batch:
-        # Installed after the MethodType binds: attach_batch shadows the
-        # generated _account_stalls with the covered-accounting closure.
-        # BST / MEMSENS / BLINES are late-bound like REEVALUATE — the
-        # generated code resolves its globals at call time.
-        bst = warpbatch.attach_batch(
-            shard, flavor,
-            classify_b=g["_classify_b"],
-            memsrc={pc: shard._program[pc].srcs[0].index for pc in mem_pcs},
-            line_bytes=sm.config.line_bytes,
-            divlines=gpu.divergent_lines,
-        )
-        g["BST"] = bst
-        g["MEMSENS"] = warpbatch.MEMSENS
-        g["BLINES"] = shard._batch_lines
     return {
         "armed": 1,
         "flavor": flavor,
@@ -1359,10 +1175,6 @@ def _arm_shard(gpu: "GPU", shard: Shard) -> Dict[str, object]:
         "regions": n_regions,
         "cache_hit": 1 if cache_hit else 0,
         "full_loop": 1 if full_loop else 0,
-        "batch": (
-            {"armed": 1, "flavor": flavor} if batch
-            else {"armed": 0, "reason": batch_reason}
-        ),
         "_shard": shard,
     }
 
@@ -1379,7 +1191,6 @@ def arm_gpu(gpu: "GPU") -> None:
             for shard in sm.shards:
                 report[(sm.sm_id, shard.shard_id)] = {
                     "armed": 0, "reason": "env_off",
-                    "batch": {"armed": 0, "reason": warpbatch.off_reason()},
                 }
         return
     for sm in gpu.sms:

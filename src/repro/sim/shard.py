@@ -161,13 +161,6 @@ class Shard:
         #: True while the stall tracker's last committed cycle equals the
         #: current parked histogram — idle cycles then replay it in O(1).
         self._idle_committed = False
-        #: cohort-batching cache (repro.sim.warpbatch._BatchState) when the
-        #: region JIT armed lockstep batching for this shard, else None.
-        #: Kept generic here: shard.py never imports warpbatch.
-        self._batch = None
-        #: prebound ``uncov.append`` wake hook (the uncov list object is
-        #: identity-stable, so the binding survives account passes).
-        self._batch_wake = None
         storage.attach(self)
         self._storage_has_work = storage.has_work
         self._storage_cycle = storage.cycle
@@ -292,20 +285,12 @@ class Shard:
         if warp.park_dynamic:
             warp.park_dynamic = False
             self._dynamic.discard(warp)
-        wake = self._batch_wake
-        if wake is not None:
-            wake(warp)
         self.scheduler.notify_ready(warp)
         if self._scan is not None:
             self._scan.on_wake(warp)
 
     def _park(self, warp: Warp, bin_: str) -> None:
         """Remove a ready warp from the ready set under ``bin_``."""
-        b = self._batch
-        if b is not None:
-            b.dirty = True
-            if warp in b.cov:
-                b.drop(warp)
         self._idle_committed = False
         warp.ready = False
         self._ready.discard(warp)
@@ -329,8 +314,6 @@ class Shard:
             if bin_ == "pipeline":
                 self._schedule_wake(warp)  # stall_until may have grown
             return
-        if self._batch is not None:
-            self._batch.dirty = True  # parked histogram is about to change
         bins = self._parked_bins
         n = bins[old] - 1
         if n:

@@ -16,7 +16,7 @@ from repro.harness.bench import _bench_payload, _scaling_row
 from repro.harness.parallel import RunRequest
 
 
-def fake_result(jit="absent", batch="absent"):
+def fake_result(jit="absent"):
     stats = SimpleNamespace(
         cycles=1000, instructions=500, warps_done=8,
         stalls={"barrier": 10, "scoreboard": 5},
@@ -24,8 +24,6 @@ def fake_result(jit="absent", batch="absent"):
     result = SimpleNamespace(stats=stats, timings={})
     if jit != "absent":  # "absent" models a pre-jit-era cache entry
         result.jit = jit
-    if batch != "absent":  # "absent" models a pre-batch-era cache entry
-        result.batch = batch
     return result
 
 
@@ -78,58 +76,6 @@ def test_all_jit_grid_counts_no_missing():
     assert payload["jit"]["runs_missing_jit"] == 0
     assert payload["jit"]["runs_with_jit"] == 2
     assert payload["jit"]["shards"] == 2
-
-
-# ---------------------------------------------------------------------------
-# batch (cohort batching) aggregate — same tolerance contract as jit
-
-
-BATCH = {
-    "sm0.shard0.batch.armed": 1,
-    "sm0.shard0.batch.cohorts": 7,
-    "sm0.shard0.batch.batched_warps": 30,
-    "sm0.shard0.batch.singleton_warps": 5,
-    "sm0.shard0.batch.scalar_classified": 15,
-    "sm0.shard0.batch.gate_shared": 12,
-    "sm0.shard0.batch.cohort_size.4": 7,
-}
-
-#: an all-fallback run (e.g. rfv storage or REPRO_BATCH=0): every per-shard
-#: entry carries only .armed and .reason — no counter keys at all.
-BATCH_FALLBACK = {
-    "sm0.shard0.batch.armed": 0,
-    "sm0.shard0.batch.reason": "impure_storage",
-}
-
-
-def test_batch_aggregate_tolerates_fallback_and_missing():
-    payload = build_payload([
-        fake_result(jit=JIT, batch=BATCH),
-        fake_result(jit=JIT, batch=BATCH_FALLBACK),  # armed=0, reason only
-        fake_result(),                               # pre-batch-era entry
-        fake_result(jit={}, batch={}),               # REPRO_BATCH=0 run
-    ])
-    agg = payload["batch"]
-    assert agg["runs_with_batch"] == 2
-    assert agg["runs_missing_batch"] == 2
-    assert agg["shards"] == 2
-    assert agg["armed_shards"] == 1
-    assert agg["batched_warps"] == 30
-    assert agg["singleton_warps"] == 5
-    assert agg["gate_shared"] == 12
-    assert agg["cohort_hit_rate"] == round(30 / (30 + 5 + 15), 4)
-    json.dumps(payload)
-
-
-def test_all_fallback_grid_has_zero_hit_rate():
-    payload = build_payload([
-        fake_result(jit={}, batch=BATCH_FALLBACK) for _ in range(3)
-    ])
-    agg = payload["batch"]
-    assert agg["armed_shards"] == 0
-    assert agg["cohort_hit_rate"] == 0.0
-    assert payload["runs"][0]["batch"] == BATCH_FALLBACK
-    json.dumps(payload)
 
 
 def test_scaling_block_only_present_when_swept():

@@ -253,7 +253,7 @@ class TestWedgedBackends:
 
 
 class TestCLIResilience:
-    def test_seeds_verb_and_deprecated_alias(self, monkeypatch, capsys):
+    def test_seeds_verb(self, monkeypatch, capsys):
         from repro.harness import cli
 
         monkeypatch.setattr(cli, "seed_robustness", lambda **kw: {"stub": 1})
@@ -263,11 +263,6 @@ class TestCLIResilience:
         captured = capsys.readouterr()
         assert "SEEDS-OK" in captured.out
         assert "deprecated" not in captured.err
-
-        assert cli.main(["robustness"]) == 0
-        captured = capsys.readouterr()
-        assert "SEEDS-OK" in captured.out
-        assert "deprecated" in captured.err
 
     def test_unrecoverable_sweep_exits_nonzero(self, tmp_path, capsys):
         from repro.harness import cli

@@ -1,9 +1,10 @@
-"""The deprecated ``robustness`` verb must be a *silent-on-stdout* alias.
+"""The ``seeds`` verb and its retired ``robustness`` alias.
 
-Pipelines parse the seed-stability report from stdout, so the alias's
-stdout must be byte-identical to the ``seeds`` verb's — the deprecation
-note goes to stderr only.  The study itself is stubbed out: this test is
-about stream discipline, not simulation.
+Pipelines parse the seed-stability report from stdout, so ``seeds``
+writes nothing to stderr.  ``robustness`` was its deprecated alias (the
+name now belongs to the resilience layer, docs/robustness.md) and is no
+longer a verb.  The study itself is stubbed out: these tests are about
+the CLI surface, not simulation.
 """
 
 from __future__ import annotations
@@ -28,32 +29,22 @@ def stubbed_study(monkeypatch):
     return calls
 
 
-def test_alias_stdout_byte_identical_to_seeds(stubbed_study, capsys):
-    assert cli.main(["seeds"]) == 0
-    seeds_out = capsys.readouterr()
-
-    assert cli.main(["robustness"]) == 0
-    alias_out = capsys.readouterr()
-
-    assert alias_out.out.encode() == seeds_out.out.encode()
-    assert "REPORT[stats-sentinel]" in seeds_out.out
-
-
-def test_deprecation_note_goes_to_stderr_only(stubbed_study, capsys):
-    cli.main(["robustness"])
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err
-    assert "deprecated" not in captured.out
-
-
 def test_seeds_verb_emits_no_deprecation_note(stubbed_study, capsys):
-    cli.main(["seeds"])
+    assert cli.main(["seeds"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
+    assert "REPORT[stats-sentinel]" in captured.out
 
 
-def test_alias_forwards_names_like_seeds(stubbed_study, capsys):
+def test_seeds_forwards_names(stubbed_study, capsys):
     cli.main(["seeds", "--names", "bfs"])
-    cli.main(["robustness", "--names", "bfs"])
     capsys.readouterr()
-    assert stubbed_study == [{"names": ["bfs"]}, {"names": ["bfs"]}]
+    assert stubbed_study == [{"names": ["bfs"]}]
+
+
+def test_robustness_alias_is_retired(stubbed_study, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["robustness"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert stubbed_study == []

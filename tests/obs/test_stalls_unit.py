@@ -31,30 +31,6 @@ class TestCommit:
             assert sum(n * c for n, c in hist.items()) == t.bins[reason]
 
 
-class TestExtend:
-    def test_extend_equals_recommitting_the_same_bins(self):
-        a = ShardStallTracker(4)
-        b = ShardStallTracker(4)
-        bins = {ISSUED: 1, "scoreboard": 3}
-        a.commit(dict(bins))
-        b.commit(dict(bins))
-        for _ in range(5):
-            a.commit(dict(bins))  # scalar path: compare-and-repeat
-            b.extend()            # batched path: proven-equal, O(1)
-        assert a.bins == b.bins
-        assert a.cycles == b.cycles == 6
-        assert a.occupancy == b.occupancy
-
-    def test_extend_then_new_commit_flushes_the_run(self):
-        t = ShardStallTracker(4)
-        t.commit({"scoreboard": 2})
-        t.extend()
-        t.commit({"scoreboard": 1, ISSUED: 1})
-        assert t.cycles == 3
-        assert t.bins == {"scoreboard": 5, ISSUED: 1}
-        assert t.occupancy["scoreboard"] == {2: 2, 1: 1}
-
-
 class TestReplay:
     def test_replay_scales_the_last_cycle(self):
         t = ShardStallTracker(4)

@@ -155,7 +155,7 @@ class TestCompaction:
         store.compact([record], 1)
         store.close()
 
-        # snapshot is the legacy JobStore format
+        # snapshot: the versioned JSON job table
         payload = json.load(open(store.path))
         assert payload["version"] == 1
         assert [j["id"] for j in payload["jobs"]] == ["a"]

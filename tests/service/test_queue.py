@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.harness.parallel import RunOutcome, RunRequest
-from repro.service import DrainingError, Job, JobStore, Priority, \
+from repro.service import DrainingError, Job, JournalStore, Priority, \
     ServiceConfig, ServiceEngine
 
 
@@ -106,21 +106,33 @@ class TestJobRecord:
     def test_missing_indices(self):
         assert self.job().missing_indices() == [1]
 
+    @staticmethod
+    def load(path):
+        store = JournalStore(str(path), fsync=False)
+        try:
+            return store.load()
+        finally:
+            store.close()
+
     def test_store_round_trip(self, tmp_path):
-        store = JobStore(str(tmp_path / "state.json"))
-        store.save([self.job()], seq=7)
-        jobs, seq = store.load()
+        path = tmp_path / "state.json"
+        store = JournalStore(str(path), fsync=False)
+        store.load()
+        store.compact([self.job().to_record()], seq=7)
+        store.close()
+        records, seq = self.load(path)
+        jobs = [Job.from_record(r) for r in records]
         assert seq == 7
         assert [j.id for j in jobs] == ["j1"]
         assert jobs[0].requests == [BFS, NW]
 
     def test_missing_or_garbage_store_loads_empty(self, tmp_path):
         path = tmp_path / "state.json"
-        assert JobStore(str(path)).load() == ([], 0)
+        assert self.load(path) == ([], 0)
         path.write_text("{ not json")
-        assert JobStore(str(path)).load() == ([], 0)
+        assert self.load(path) == ([], 0)
         path.write_text('{"version": 999, "jobs": []}')
-        assert JobStore(str(path)).load() == ([], 0)
+        assert self.load(path) == ([], 0)
 
 
 class TestEngine:

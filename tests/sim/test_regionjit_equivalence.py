@@ -9,8 +9,9 @@ must equal the ``REPRO_JIT=0`` interpreter run exactly.
 
 Hypothesis generates small structured kernels (loops, divergent diamonds,
 guarded writes, loads) and checks the contract on every operand-storage
-backend.  A deterministic smoke test pins the contract on one kernel per
-backend for fast failure localization.
+backend under every stock warp scheduler.  A deterministic smoke test
+pins the contract on one kernel per backend for fast failure
+localization.
 """
 
 import os
@@ -39,15 +40,18 @@ FACTORIES = {
     "regless": lambda ck: (lambda sm, sh: ReglessStorage(ck)),
 }
 
+SCHEDULERS = ("gto", "lrr", "two_level")
 
-def _run(ck, workload, backend, jit):
+
+def _run(ck, workload, backend, jit, scheduler="gto"):
     """One simulation with the JIT forced on or off; returns (stats, jit_out)."""
     prev = os.environ.get("REPRO_JIT")
     os.environ["REPRO_JIT"] = "1" if jit else "0"
     try:
         jit_out = {}
         stats = run_simulation(
-            FAST, ck, workload, FACTORIES[backend](ck), jit_out=jit_out
+            FAST.with_(scheduler=scheduler), ck, workload,
+            FACTORIES[backend](ck), jit_out=jit_out,
         )
         return stats, jit_out
     finally:
@@ -136,13 +140,15 @@ def jit_workload(draw):
                     pred_behaviors=behaviors, regalloc=False)
 
 
-@given(jit_workload(), st.sampled_from(sorted(FACTORIES)))
-@settings(max_examples=20, deadline=None)
-def test_jit_matches_interpreter_on_random_kernels(workload, backend):
+@given(jit_workload(), st.sampled_from(sorted(FACTORIES)),
+       st.sampled_from(SCHEDULERS))
+@settings(max_examples=40, deadline=None)
+def test_jit_matches_interpreter_on_random_kernels(workload, backend,
+                                                   scheduler):
     ck = compile_kernel(workload.kernel())
-    off, _ = _run(ck, workload, backend, jit=False)
-    on, _ = _run(ck, workload, backend, jit=True)
-    _assert_identical(off, on, backend)
+    off, _ = _run(ck, workload, backend, jit=False, scheduler=scheduler)
+    on, _ = _run(ck, workload, backend, jit=True, scheduler=scheduler)
+    _assert_identical(off, on, f"{backend}/{scheduler}")
 
 
 def test_jit_arms_and_matches_on_every_backend():
