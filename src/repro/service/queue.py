@@ -90,6 +90,7 @@ __all__ = [
     "ServiceEngine",
 ]
 
+
 class Priority:
     """Priority classes, most urgent first."""
 
