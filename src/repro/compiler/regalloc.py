@@ -21,46 +21,49 @@ interfere and never share a register.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from ..isa.instructions import Instruction
 from ..isa.kernel import BasicBlock, Kernel
 from ..isa.registers import Reg
-from .liveness import analyze_liveness
+from .liveness import Liveness, analyze_liveness
 
 __all__ = ["allocate_registers", "build_interference"]
 
 
-def build_interference(kernel: Kernel) -> Dict[Reg, Set[Reg]]:
-    """Interference graph over architectural registers."""
-    liveness = analyze_liveness(kernel)
+def build_interference(
+    kernel: Kernel, liveness: Optional[Liveness] = None
+) -> Dict[Reg, Set[Reg]]:
+    """Interference graph over architectural registers.
+
+    ``liveness`` is the kernel's :func:`analyze_liveness` result, computed
+    here when not given."""
+    if liveness is None:
+        liveness = analyze_liveness(kernel)
     graph: Dict[Reg, Set[Reg]] = {r: set() for r in kernel.registers}
-
-    def link(group) -> None:
-        group = list(group)
-        for i, a in enumerate(group):
-            for b_reg in group[i + 1:]:
-                if a != b_reg:
-                    graph[a].add(b_reg)
-                    graph[b_reg].add(a)
-
+    # Whole-set unions reuse the hashes the live sets already store; each
+    # register also lands in its own set, and those self-edges are dropped
+    # at the end.
     for pc, _, insn in kernel.iter_pcs():
-        link(liveness.live_before[pc])
+        live = liveness.live_before[pc]
+        for reg in live:
+            graph[reg] |= live
         # A definition interferes with everything live after it (the def
         # must not clobber values that outlive this instruction).
         after = liveness.live_after[pc]
         for d in insn.reg_dsts:
+            graph[d] |= after
             for other in after:
-                if other != d:
-                    graph[d].add(other)
-                    graph[other].add(d)
+                graph[other].add(d)
+    for reg, neighbours in graph.items():
+        neighbours.discard(reg)
     return graph
 
 
 def allocate_registers(kernel: Kernel) -> Kernel:
     """Rename registers to a compact set; returns a new kernel."""
     liveness = analyze_liveness(kernel)
-    graph = build_interference(kernel)
+    graph = build_interference(kernel, liveness)
 
     pinned = sorted(liveness.live_in.get(kernel.entry, frozenset()))
     mapping: Dict[Reg, int] = {r: r.index for r in pinned}

@@ -116,6 +116,126 @@ class Region:
         )
 
 
+def _indices(mask: int) -> List[int]:
+    """Set bit positions of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")  # int.bit_count needs Python 3.10
+
+
+class _Footprints:
+    """:func:`region_stats` for one kernel, memoized per ``(start, end)``.
+
+    Registers are bits of an int (bit ``i`` is ``R<i>``): the scan reads
+    the instructions' ``src_idx``/``dst_idx`` tuples, and the live sets it
+    consults are turned into masks once per pc."""
+
+    def __init__(self, kernel: Kernel, liveness: Liveness,
+                 config: RegionConfig):
+        self.kernel = kernel
+        self.liveness = liveness
+        self.banks = config.banks
+        self.insns = [kernel.insn_at(pc)
+                      for pc in range(kernel.num_instructions)]
+        #: one of the kernel's own ``Reg`` objects per index
+        self.reg_of: Dict[int, Reg] = {
+            r.index: r for insn in self.insns for r in insn.regs
+        }
+        #: pc -> bits of the registers soft-defined there
+        self.soft: Dict[int, int] = {}
+        for pc, r in liveness.soft_defs:
+            self.soft[pc] = self.soft.get(pc, 0) | 1 << r.index
+        self._before: Dict[int, int] = {}
+        self._after: Dict[int, int] = {}
+        self._memo: Dict[Tuple[int, int], RegionStats] = {}
+
+    def _mask(self, cache: Dict[int, int], sets, pc: int) -> int:
+        mask = cache.get(pc)
+        if mask is None:
+            mask = 0
+            for r in sets[pc]:
+                mask |= 1 << r.index
+            cache[pc] = mask
+        return mask
+
+    def _regs(self, mask: int) -> FrozenSet[Reg]:
+        reg_of = self.reg_of
+        return frozenset(reg_of[i] for i in _indices(mask))
+
+    def stats(self, start: int, end: int) -> RegionStats:
+        key = (start, end)
+        stats = self._memo.get(key)
+        if stats is None:
+            stats = self._memo[key] = self._scan(start, end)
+        return stats
+
+    def _scan(self, start: int, end: int) -> RegionStats:
+        insns, soft, banks = self.insns, self.soft, self.banks
+        live_in = (self._mask(self._before, self.liveness.live_before, start)
+                   if start < end else 0)
+        reads = defs = soft_defs = 0
+        last_use: Dict[int, int] = {}
+        for pc in range(start, end):
+            insn = insns[pc]
+            for i in insn.src_idx:
+                if not defs >> i & 1:
+                    # Read of a value that may originate outside the region.
+                    reads |= 1 << i
+                last_use[i] = pc
+            for i in insn.dst_idx:
+                defs |= 1 << i
+                last_use[i] = pc
+            soft_defs |= soft.get(pc, 0)
+
+        inputs = (reads | soft_defs) & live_in
+        live_after = (self._mask(self._after, self.liveness.live_after,
+                                 end - 1)
+                      if end > start else 0)
+        outputs = defs & live_after
+        interior = (reads | defs) & ~inputs & ~outputs
+
+        # Forward allocation scan for peak footprint.
+        allocated = inputs
+        n_allocated = max_live = _popcount(inputs)
+        bank_count = [0] * banks
+        for i in _indices(inputs):
+            bank_count[i % banks] += 1
+        bank_peak = list(bank_count)
+        for pc in range(start, end):
+            insn = insns[pc]
+            for i in insn.dst_idx:
+                if not allocated >> i & 1:
+                    allocated |= 1 << i
+                    n_allocated += 1
+                    b = i % banks
+                    bank_count[b] += 1
+                    if bank_count[b] > bank_peak[b]:
+                        bank_peak[b] = bank_count[b]
+            if n_allocated > max_live:
+                max_live = n_allocated
+            for i in set(insn.reg_idx):
+                bit = 1 << i
+                if last_use[i] == pc and allocated & bit and not outputs & bit:
+                    allocated ^= bit
+                    n_allocated -= 1
+                    bank_count[i % banks] -= 1
+
+        return RegionStats(
+            inputs=self._regs(inputs),
+            outputs=self._regs(outputs),
+            interior=self._regs(interior),
+            max_live=max_live,
+            bank_usage=tuple(bank_peak),
+        )
+
+
 def region_stats(
     kernel: Kernel,
     liveness: Liveness,
@@ -135,68 +255,11 @@ def region_stats(
       and per bank, from a forward allocation scan (inputs are all staged at
       entry; an entry is released after the register's last in-region use
       unless it is an output, which stays until region end).
+
+    :func:`create_regions` keeps one :class:`_Footprints` for a whole
+    kernel, so each range it examines is scanned once.
     """
-    live_in_region = liveness.live_before[start] if start < end else frozenset()
-    reads: set = set()
-    defs: set = set()
-    soft_in_region: set = set()
-    last_use: Dict[Reg, int] = {}
-    for pc in range(start, end):
-        insn = kernel.insn_at(pc)
-        for r in insn.reg_srcs:
-            if r not in defs or r in live_in_region:
-                # Read of a value that may originate outside the region.
-                if r not in defs:
-                    reads.add(r)
-            last_use[r] = pc
-        for r in insn.reg_dsts:
-            defs.add(r)
-            last_use[r] = pc
-            if liveness.is_soft_def(pc, r):
-                soft_in_region.add(r)
-
-    inputs = frozenset((reads & live_in_region) | (soft_in_region & live_in_region))
-    live_after_region = liveness.live_after[end - 1] if end > start else frozenset()
-    outputs = frozenset(defs & live_after_region)
-    interior = frozenset((reads | defs) - inputs - outputs)
-
-    # Forward allocation scan for peak footprint.
-    allocated = set(inputs)
-    max_live = len(allocated)
-    bank_peak = [0] * config.banks
-    bank_count = [0] * config.banks
-    for r in allocated:
-        bank_count[config.bank_of(r)] += 1
-    for b in range(config.banks):
-        bank_peak[b] = bank_count[b]
-
-    def _release(reg: Reg) -> None:
-        allocated.discard(reg)
-        bank_count[config.bank_of(reg)] -= 1
-
-    def _acquire(reg: Reg) -> None:
-        if reg not in allocated:
-            allocated.add(reg)
-            b = config.bank_of(reg)
-            bank_count[b] += 1
-            bank_peak[b] = max(bank_peak[b], bank_count[b])
-
-    for pc in range(start, end):
-        insn = kernel.insn_at(pc)
-        for r in insn.reg_dsts:
-            _acquire(r)
-        max_live = max(max_live, len(allocated))
-        for r in set(insn.regs):
-            if last_use.get(r) == pc and r not in outputs:
-                _release(r)
-
-    return RegionStats(
-        inputs=inputs,
-        outputs=outputs,
-        interior=interior,
-        max_live=max_live,
-        bank_usage=tuple(bank_peak),
-    )
+    return _Footprints(kernel, liveness, config).stats(start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +274,13 @@ def _load_use_pairs(kernel: Kernel, start: int, end: int) -> List[Tuple[int, int
         insn = kernel.insn_at(pc)
         if not insn.opcode.is_global_load:
             continue
-        for dst in insn.reg_dsts:
+        for dst in insn.dst_idx:
             for use_pc in range(pc + 1, end):
                 user = kernel.insn_at(use_pc)
-                if dst in user.reg_srcs:
+                if dst in user.src_idx:
                     pairs.append((pc, use_pc))
                     break
-                if dst in user.reg_dsts:
+                if dst in user.dst_idx:
                     break  # redefined before use
     return pairs
 
@@ -238,14 +301,11 @@ def _contains_multi_insn_barrier(kernel: Kernel, start: int, end: int) -> bool:
 
 
 def _is_valid(
-    kernel: Kernel,
-    liveness: Liveness,
-    start: int,
-    end: int,
-    config: RegionConfig,
+    footprints: _Footprints, start: int, end: int, config: RegionConfig
 ) -> bool:
     """IsValid from Algorithm 1 (plus the barrier-isolation rule)."""
-    stats = region_stats(kernel, liveness, start, end, config)
+    kernel = footprints.kernel
+    stats = footprints.stats(start, end)
     if stats.max_live > config.max_regs_per_region:
         return False
     if max(stats.bank_usage, default=0) > config.max_regs_per_bank:
@@ -258,11 +318,7 @@ def _is_valid(
 
 
 def _find_split_point(
-    kernel: Kernel,
-    liveness: Liveness,
-    start: int,
-    end: int,
-    config: RegionConfig,
+    footprints: _Footprints, start: int, end: int, config: RegionConfig
 ) -> int:
     """FindSplitPoint from Algorithm 1; returns the split PC.
 
@@ -272,7 +328,7 @@ def _find_split_point(
     # upper bound: largest split such that the first region stays valid.
     upper = start + 1
     for split in range(start + 1, end):
-        if _is_valid(kernel, liveness, start, split, config):
+        if _is_valid(footprints, start, split, config):
             upper = split
         else:
             break
@@ -281,7 +337,7 @@ def _find_split_point(
     # first uses (minimizes load/use pairs left inside either new region).
     lower = upper
     if config.split_load_use:
-        pairs = _load_use_pairs(kernel, start, end)
+        pairs = _load_use_pairs(footprints.kernel, start, end)
         if pairs:
             best_cost: Optional[int] = None
             for split in range(start + 1, upper + 1):
@@ -302,8 +358,8 @@ def _find_split_point(
     best_split = lower
     best_boundary: Optional[int] = None
     for split in range(lower, upper + 1):
-        first = region_stats(kernel, liveness, start, split, config)
-        second = region_stats(kernel, liveness, split, end, config)
+        first = footprints.stats(start, split)
+        second = footprints.stats(split, end)
         boundary = first.boundary_regs + second.boundary_regs
         if best_boundary is None or boundary < best_boundary:
             best_boundary = boundary
@@ -324,6 +380,7 @@ def create_regions(
     tile every instruction of the kernel exactly once.
     """
     config = config or RegionConfig()
+    footprints = _Footprints(kernel, liveness, config)
     worklist: List[Tuple[str, int, int]] = []
     for block in kernel.blocks:
         start = kernel.block_start_pc(block.label)
@@ -334,10 +391,10 @@ def create_regions(
     accepted: List[Tuple[str, int, int]] = []
     while worklist:
         label, start, end = worklist.pop(0)
-        if _is_valid(kernel, liveness, start, end, config):
+        if _is_valid(footprints, start, end, config):
             accepted.append((label, start, end))
             continue
-        split = _find_split_point(kernel, liveness, start, end, config)
+        split = _find_split_point(footprints, start, end, config)
         if split <= start or split >= end:
             # Cannot split further (single oversized instruction footprint);
             # accept as-is — the hardware handles it with a degraded limit.
@@ -347,8 +404,7 @@ def create_regions(
         worklist.insert(0, (label, split, end))
 
     accepted.sort(key=lambda t: t[1])
-    regions = []
-    for rid, (label, start, end) in enumerate(accepted):
-        stats = region_stats(kernel, liveness, start, end, config)
-        regions.append(Region(rid, label, start, end, stats))
-    return regions
+    return [
+        Region(rid, label, start, end, footprints.stats(start, end))
+        for rid, (label, start, end) in enumerate(accepted)
+    ]

@@ -12,9 +12,12 @@ its outcome:
 * a **code-version salt**: a hash over every ``repro`` source file, so any
   simulator change self-invalidates the whole store.
 
-Results are pickled :class:`~repro.harness.runner.RunResult` objects stored
-under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-regless``).  Set
-``REPRO_CACHE=0`` to disable caching entirely.
+Entries are pickled :class:`~repro.harness.runner.RunResult` objects
+*without* their compiled kernel (``compiled`` is ``None``), stored under
+``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-regless``).  The digest
+already hashes that kernel's bytes, so the runner that reads an entry
+attaches its own, byte-for-byte identical, compiled kernel to the hit.
+Set ``REPRO_CACHE=0`` to disable caching entirely.
 
 Crash safety
 ------------
@@ -119,7 +122,7 @@ def run_digest(
 
 #: bumped whenever the on-disk entry layout changes; older entries read
 #: as misses and are evicted.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 _MAGIC = b"RGC\x01"
 _HEADER_LEN = len(_MAGIC) + 2 + 32  # magic + version (u16 BE) + sha256
@@ -216,20 +219,26 @@ class ResultCache:
         return result
 
     def put(self, digest: str, result: "RunResult") -> None:
+        """Store ``result`` under ``digest``.  A store that cannot be
+        written (unwritable or missing root, full disk) skips the write:
+        the caller keeps its result and ``writes`` is unchanged."""
         path = self._path(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        tmp = None
         try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                       suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(_frame(
                     pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
                 ))
             os.replace(tmp, path)  # atomic on POSIX
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             return
         self.writes += 1
 

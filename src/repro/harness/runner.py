@@ -22,7 +22,7 @@ from __future__ import annotations
 import gc
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..compiler.pipeline import CompiledKernel, compile_kernel
@@ -63,6 +63,8 @@ class RunResult:
     backend: str
     osu_entries: int
     stats: SimStats
+    #: ``None`` only in a disk-cache entry; the runner that reads the
+    #: entry attaches its own compiled kernel.
     compiled: CompiledKernel = field(repr=False)
     energy: EnergyBreakdown = field(repr=False)
     #: per-phase wall-clock seconds: ``compile`` / ``simulate`` / ``energy``
@@ -253,17 +255,23 @@ class SuiteRunner:
         self._runs[self._memo_key(request)] = result
         self._compiled.setdefault(request.benchmark, result.compiled)
         if store and self.cache is not None:
-            self.cache.put(self._digest(request), result)
+            # The digest hashes the compiled kernel's bytes, so the kernel
+            # of any hit on it is this runner's: entries leave it out.
+            self.cache.put(self._digest(request),
+                           replace(result, compiled=None))
         return result
 
     def _lookup(self, request: RunRequest) -> Optional[RunResult]:
-        """The memoized result, else the disk-cached one (then memoized)."""
+        """The memoized result, else the disk-cached one (then memoized,
+        with this runner's compiled kernel attached)."""
         hit = self._runs.get(self._memo_key(request))
         if hit is None and self.cache is not None:
+            digest = self._digest(request)
             t0 = time.perf_counter()
-            hit = self.cache.get(self._digest(request))
+            hit = self.cache.get(digest)
             if hit is not None:
                 hit.timings["cache_load"] = time.perf_counter() - t0
+                hit.compiled = self.compiled(request.benchmark)
                 self._install(request, hit, store=False)
         return hit
 

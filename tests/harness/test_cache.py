@@ -2,11 +2,13 @@
 
 import multiprocessing
 import pickle
+import time
 
 import pytest
 
 from repro.energy.model import EnergyParams
-from repro.harness import ResultCache, SuiteRunner, run_digest
+from repro.harness import (ResultCache, RunOutcome, RunRequest, SuiteRunner,
+                           run_digest)
 from repro.sim import GPUConfig
 
 
@@ -33,6 +35,28 @@ class TestRoundTrip:
         assert warm.cycles == cold.cycles
         assert warm.stats.counters == cold.stats.counters
         assert warm.energy == cold.energy
+
+        # Entries leave the compiled kernel out; a hit carries the
+        # reading runner's own.
+        assert warm.compiled is second.compiled("bfs")
+        digest = second._digest(RunRequest.make("bfs", "regless"))
+        assert ResultCache(str(tmp_path)).get(digest).compiled is None
+
+    def test_cache_load_excludes_the_key(self, tmp_path):
+        """``cache_load`` times the entry read, not the kernel build and
+        compile that the first digest of a kernel pays for."""
+        make_runner(tmp_path).run("bfs", "baseline")
+
+        class SlowCompile(SuiteRunner):
+            def compiled(self, name):
+                time.sleep(0.05)
+                return super().compiled(name)
+
+        warm = SlowCompile(config=GPUConfig(**SMALL),
+                           cache=ResultCache(str(tmp_path)))
+        hit = warm.run("bfs", "baseline")
+        assert warm.cache.hits == 1
+        assert hit.timings["cache_load"] < 0.05
 
     def test_memo_wins_over_disk(self, tmp_path):
         runner = make_runner(tmp_path)
@@ -72,6 +96,22 @@ class TestRoundTrip:
             fh.write(b"not a pickle")
         assert cache.get(digest) is None
         assert cache.misses == 1
+
+    def test_unusable_store_skips_writes(self, tmp_path):
+        """A cache root below a regular file cannot be created: the run's
+        result survives, the grid still yields one ok outcome per
+        request, and nothing is stored."""
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        runner = make_runner(blocker / "cache")
+        result = runner.run("bfs", "baseline")
+        assert result.stats.finished
+        outcomes = runner.run_grid_outcomes(
+            [("bfs", "rfh"), ("nw", "baseline")], jobs=1
+        )
+        assert [o.status for o in outcomes] == [RunOutcome.OK] * 2
+        assert runner.cache.writes == 0
+        assert len(runner.cache) == 0
 
     def test_len_and_clear(self, tmp_path):
         cache = ResultCache(str(tmp_path))
