@@ -43,9 +43,6 @@ class RegionConfig:
     #: and splits at the upper bound.
     split_at_seams: bool = True
 
-    def bank_of(self, reg: Reg) -> int:
-        return reg.index % self.banks
-
 
 @dataclass(frozen=True)
 class RegionStats:
@@ -126,10 +123,6 @@ def _indices(mask: int) -> List[int]:
     return out
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")  # int.bit_count needs Python 3.10
-
-
 class _Footprints:
     """:func:`region_stats` for one kernel, memoized per ``(start, end)``.
 
@@ -203,9 +196,10 @@ class _Footprints:
 
         # Forward allocation scan for peak footprint.
         allocated = inputs
-        n_allocated = max_live = _popcount(inputs)
+        staged = _indices(inputs)
+        n_allocated = max_live = len(staged)
         bank_count = [0] * banks
-        for i in _indices(inputs):
+        for i in staged:
             bank_count[i % banks] += 1
         bank_peak = list(bank_count)
         for pc in range(start, end):
