@@ -228,34 +228,8 @@ def _bench_payload(
     scaling_rows: Optional[Sequence[Dict[str, object]]] = None,
 ) -> Dict[str, object]:
     """The ``--json`` measurement record (``BENCH_*.json`` format)."""
-    runs = []
-    jit_agg = {"armed_shards": 0, "shards": 0, "compile_s": 0.0,
-               "steps": 0, "issued_via_jit": 0, "fallback_issued": 0,
-               "runs_with_jit": 0, "runs_missing_jit": 0}
-    for req, res, wall in zip(requests, serial, serial_wall):
-        # A run replayed from a PR-5-era cache entry predates the ``jit``
-        # field entirely, and a ``REPRO_JIT=0`` run records an empty dict;
-        # neither may crash the grid aggregate — skip it and count it.
-        # An all-fallback run's per-shard entries carry only ``.armed`` and
-        # ``.reason`` keys, so every other counter must go through ``get``.
-        raw = getattr(res, "jit", None)
-        jit = dict(raw) if isinstance(raw, dict) else {}
-        if jit:
-            jit_agg["runs_with_jit"] += 1
-        else:
-            jit_agg["runs_missing_jit"] += 1
-        for key, val in jit.items():
-            if not key.endswith(".armed"):
-                continue
-            prefix = key[: -len("armed")]
-            jit_agg["shards"] += 1
-            jit_agg["armed_shards"] += int(bool(val))
-            jit_agg["compile_s"] += float(jit.get(prefix + "compile_s", 0.0))
-            jit_agg["steps"] += int(jit.get(prefix + "steps", 0))
-            jit_agg["issued_via_jit"] += int(jit.get(prefix + "issued", 0))
-            jit_agg["fallback_issued"] += int(
-                jit.get(prefix + "fallback_issued", 0))
-        runs.append({
+    runs = [
+        {
             "benchmark": req.benchmark,
             "backend": req.backend,
             "wall_s": round(wall, 4),
@@ -264,9 +238,9 @@ def _bench_payload(
             "warps_done": res.stats.warps_done,
             "cycles_per_sec": round(res.stats.cycles / max(wall, 1e-9), 1),
             "stall_warp_cycles": sum(res.stats.stalls.values()),
-            "jit": jit,
-        })
-    jit_agg["compile_s"] = round(jit_agg["compile_s"], 4)
+        }
+        for req, res, wall in zip(requests, serial, serial_wall)
+    ]
     payload: Dict[str, object] = {
         "benchmarks": list(names),
         "backends": list(backends),
@@ -279,7 +253,6 @@ def _bench_payload(
         },
         "serial_equals_parallel": serial_parallel_ok,
         "warm_equals_serial": warm_ok,
-        "jit": jit_agg,
         "runs": runs,
     }
     if scaling_rows is not None:

@@ -11,8 +11,8 @@ start at the first submitted run, are replaced only after a broken pool
 or a timeout kill, and stop at :meth:`WorkerPool.close`.  Each worker
 holds one private :class:`~repro.harness.runner.SuiteRunner` (disk cache
 off — the parent coordinates the cache) and keeps only what makes the
-next run cheaper: workloads, compiled kernels and region-JIT code.  It
-keeps no run results.
+next run cheaper: workloads and compiled kernels.  It keeps no run
+results.
 
 A running call can take more work: requests pushed into its
 :class:`RunFeed` join the same retry loop until the loop closes the

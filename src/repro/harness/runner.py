@@ -70,10 +70,6 @@ class RunResult:
     #: per-phase wall-clock seconds: ``compile`` / ``simulate`` / ``energy``
     #: / ``total`` (and ``cache_load`` when served from the disk cache).
     timings: Dict[str, float] = field(default_factory=dict, repr=False)
-    #: region-JIT observability (``sm0.shard1.jit.*`` paths; empty when the
-    #: run predates the JIT or came from an old cache entry — read with
-    #: ``getattr(result, "jit", {})`` when the result may be unpickled).
-    jit: Dict[str, object] = field(default_factory=dict, repr=False)
 
     @property
     def cycles(self) -> int:
@@ -320,13 +316,11 @@ class SuiteRunner:
         # A watchdog holds per-run progress state, so every run gets a
         # fresh one built from the runner's config.
         watchdog = Watchdog(self.watchdog) if self.watchdog else None
-        jit_out: Dict[str, object] = {}
         try:
             stats = run_simulation(
                 cfg, compiled, workload, factory,
                 window_series=request.window_series,
                 watchdog=watchdog,
-                jit_out=jit_out,
             )
         finally:
             if gc_was_enabled:
@@ -353,7 +347,6 @@ class SuiteRunner:
                 "energy": t_done - t_simulated,
                 "total": t_done - t_start,
             },
-            jit=jit_out,
         )
 
     # -- grid execution --------------------------------------------------------

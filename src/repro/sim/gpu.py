@@ -121,14 +121,6 @@ class GPU:
 
     def run(self, window_series: Sequence[str] = (),
             max_cycles: Optional[int] = None) -> SimStats:
-        # Arm the region JIT first (specialized per-pc issue steps; see
-        # repro.sim.regionjit).  Arming inspects instance-level overrides,
-        # so anything a tracer/fault wedge installed before run() is seen;
-        # per-shard incompatibilities fall back to the interpreter.  The
-        # simulated results are bit-identical either way.
-        from . import regionjit
-
-        regionjit.arm_gpu(self)
         # The cycle loop allocates heavily (writeback continuations, scan
         # snapshots, per-cycle bin dicts) but almost everything dies by
         # refcount; generational GC only adds full-heap scans to the hot
@@ -324,15 +316,6 @@ class GPU:
                     self.metrics.inc(f"{scope.path}.{reason}", count)
         return reports, merge_stalls(reports)
 
-    def collect_jit(self) -> Dict[str, object]:
-        """Flat ``sm{i}.shard{j}.jit.*`` observability paths for the region
-        JIT (armed/fallback reasons, compile time, issue counters).  Kept
-        out of :class:`SimStats` so wall-clock-dependent values never enter
-        the bit-identity contract."""
-        from . import regionjit
-
-        return regionjit.collect_jit(self)
-
     def _work_outstanding(self) -> bool:
         return (
             self.wheel.pending_events > 0
@@ -370,7 +353,6 @@ def run_simulation(
     window_series: Sequence[str] = (),
     watchdog: Optional[Watchdog] = None,
     max_cycles: Optional[int] = None,
-    jit_out: Optional[Dict[str, object]] = None,
 ) -> SimStats:
     """Convenience wrapper: build a GPU and run it.
 
@@ -378,11 +360,6 @@ def run_simulation(
     (:mod:`repro.sim.watchdog`); ``max_cycles`` overrides the config's
     safety ceiling for this run only.  Either way the run is bounded: a
     config with no ceiling falls back to :data:`DEFAULT_MAX_CYCLES`.
-    ``jit_out``, when given, receives the region-JIT observability paths
-    (:meth:`GPU.collect_jit`) after the run.
     """
     gpu = GPU(config, compiled, workload, storage_factory, watchdog=watchdog)
-    stats = gpu.run(window_series=window_series, max_cycles=max_cycles)
-    if jit_out is not None:
-        jit_out.update(gpu.collect_jit())
-    return stats
+    return gpu.run(window_series=window_series, max_cycles=max_cycles)

@@ -105,9 +105,6 @@ class SM:
     def reconv_pc(self, branch_pc: int) -> int:
         return self._reconv[self._block_of_pc[branch_pc]]
 
-    def metadata_slots(self, shard: Shard, warp: Warp, pc: int) -> int:
-        return shard.storage.metadata_slots(warp, pc)
-
     # -- shared per-cycle resources ---------------------------------------------------
 
     def take_mem_slot(self) -> bool:

@@ -1,11 +1,4 @@
-"""``bench --json`` over a mixed grid of JIT-aware and JIT-less runs.
-
-Regression: the grid JIT aggregate used to assume every
-:class:`RunResult` carried a ``jit`` dict.  Results replayed from a
-PR-5-era cache entry predate the field entirely, and ``REPRO_JIT=0``
-runs record an empty dict — both must be skipped and counted, never
-crash the payload build.
-"""
+"""``bench --json`` payload shape: the scaling block and its rows."""
 
 from __future__ import annotations
 
@@ -16,15 +9,12 @@ from repro.harness.bench import _bench_payload, _scaling_row
 from repro.harness.parallel import RunRequest
 
 
-def fake_result(jit="absent"):
+def fake_result():
     stats = SimpleNamespace(
         cycles=1000, instructions=500, warps_done=8,
         stalls={"barrier": 10, "scoreboard": 5},
     )
-    result = SimpleNamespace(stats=stats, timings={})
-    if jit != "absent":  # "absent" models a pre-jit-era cache entry
-        result.jit = jit
-    return result
+    return SimpleNamespace(stats=stats, timings={})
 
 
 def build_payload(results):
@@ -44,43 +34,10 @@ def build_payload(results):
     )
 
 
-JIT = {"0.armed": 1, "0.compile_s": 0.125, "0.steps": 10,
-       "0.issued": 100, "0.fallback_issued": 3}
-
-
-def test_mixed_grid_does_not_crash_and_counts_missing():
-    payload = build_payload([
-        fake_result(jit=JIT),          # modern run with JIT telemetry
-        fake_result(jit="absent"),     # PR-5-era cache entry: no field
-        fake_result(jit={}),           # REPRO_JIT=0 run: empty dict
-        fake_result(jit=None),         # defensive: explicit None
-    ])
-    agg = payload["jit"]
-    assert agg["runs_with_jit"] == 1
-    assert agg["runs_missing_jit"] == 3
-    assert agg["shards"] == 1
-    assert agg["armed_shards"] == 1
-    assert agg["issued_via_jit"] == 100
-    assert agg["fallback_issued"] == 3
-    assert agg["compile_s"] == 0.125
-
-
-def test_jitless_runs_serialize_with_empty_jit():
-    payload = build_payload([fake_result(jit="absent")])
-    assert payload["runs"][0]["jit"] == {}
-    json.dumps(payload)  # the whole record must stay JSON-serializable
-
-
-def test_all_jit_grid_counts_no_missing():
-    payload = build_payload([fake_result(jit=JIT), fake_result(jit=JIT)])
-    assert payload["jit"]["runs_missing_jit"] == 0
-    assert payload["jit"]["runs_with_jit"] == 2
-    assert payload["jit"]["shards"] == 2
-
-
 def test_scaling_block_only_present_when_swept():
-    without = build_payload([fake_result(jit=JIT)])
+    without = build_payload([fake_result()])
     assert "scaling" not in without
+    json.dumps(without)  # the whole record must stay JSON-serializable
 
 
 def test_oversubscribed_scaling_rows_are_labelled():

@@ -10,11 +10,10 @@ stall bins) under all five backends:
   ``test_validate``'s small config (``warps_per_sm=16,
   schedulers_per_sm=2, cta_size_warps=8``).
 
-Host-speed work (those reworks, the region JIT) must keep simulated
-results **bit-identical**, so both goldens hold under ``REPRO_JIT=0`` and
-``REPRO_JIT=1``.  Any intentional change to simulated behavior must
-regenerate both goldens (see docs/performance.md) in the same commit and
-say why.
+Host-speed work (those reworks included) must keep simulated results
+**bit-identical**.  Any intentional change to simulated behavior must
+regenerate both goldens (see docs/performance.md), and
+``tests/golden/simstats_random.json``, in the same commit and say why.
 """
 
 from __future__ import annotations

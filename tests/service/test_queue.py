@@ -31,7 +31,7 @@ def fake_result(request):
         benchmark=request.benchmark, backend=request.backend,
         osu_entries=request.osu_entries, stats=stats,
         energy=SimpleNamespace(as_dict=lambda: {"total": 1.0}),
-        timings={}, jit={},
+        timings={},
     )
 
 
