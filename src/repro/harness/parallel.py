@@ -435,11 +435,9 @@ def run_requests_resilient(
     events.  ``sleep``/``clock`` are injectable for tests.  The caller
     keeps ``pool`` (and its workers) for later calls and closes it.
 
-    Identical requests (equal :class:`RunRequest` fields, hence equal
-    :attr:`RunRequest.identity`) **dedupe to one execution**: only the
-    first occurrence is submitted, and every duplicate receives its own
-    :class:`RunOutcome` sharing the executed result (``grid.deduped`` is
-    emitted per duplicate).
+    Every request given or fed is executed: deduping identical requests
+    is the caller's job (:meth:`SuiteRunner.run_grid_outcomes` passes only
+    the first occurrence of each, and screens fed ones through ``admit``).
 
     ``feed`` adds requests while the call runs: each one taken gets the
     next index after those already known, in push order.  ``admit(request)``
@@ -456,10 +454,6 @@ def run_requests_resilient(
     """
     policy = policy or FaultPolicy()
     tracked: List[_Tracked] = []
-    # Dedupe identical requests: the first unfinished occurrence is the
-    # primary and the only one executed; duplicates fan in at finalize.
-    primary_of: Dict[RunRequest, int] = {}
-    duplicates: Dict[int, List[int]] = {}
     queue: deque = deque()  # indices ready to submit now
     waiting: List[Tuple[float, int]] = []  # (eligible_at, index) backoff heap
     inflight: Dict[Any, Tuple[int, Optional[float]]] = {}  # fut -> (idx, deadline)
@@ -470,14 +464,8 @@ def run_requests_resilient(
         for req in requests:
             if screen and admit is not None and not admit(req):
                 continue
-            idx = len(tracked)
+            queue.append(len(tracked))
             tracked.append(_Tracked(req))
-            first = primary_of.get(req)
-            if first is None or tracked[first].outcome is not None:
-                primary_of[req] = idx
-                queue.append(idx)
-            else:
-                duplicates.setdefault(first, []).append(idx)
             added += 1
         return added
 
@@ -492,7 +480,6 @@ def run_requests_resilient(
     def finalize(idx: int, status: str, result=None) -> None:
         nonlocal done_count
         t = tracked[idx]
-        diagnostics = t.last_diagnostics if status != RunOutcome.OK else None
         t.outcome = RunOutcome(
             request=t.request,
             status=status,
@@ -500,27 +487,12 @@ def run_requests_resilient(
             attempts=t.attempts,
             retried=max(0, t.attempts - 1),
             error=t.last_error,
-            diagnostics=diagnostics,
+            diagnostics=t.last_diagnostics if status != RunOutcome.OK else None,
         )
         done_count += 1
         emit(f"grid.{status}")
         if on_outcome is not None:
             on_outcome(idx, t.outcome)
-        for dup in duplicates.pop(idx, ()):
-            d = tracked[dup]
-            d.outcome = RunOutcome(
-                request=d.request,
-                status=status,
-                result=result,
-                attempts=t.attempts,
-                retried=max(0, t.attempts - 1),
-                error=t.last_error,
-                diagnostics=diagnostics,
-            )
-            done_count += 1
-            emit("grid.deduped")
-            if on_outcome is not None:
-                on_outcome(dup, d.outcome)
 
     def record_failure(idx: int, kind: str, error: str, now: float,
                        diagnostics: Optional[Dict[str, Any]] = None) -> None:

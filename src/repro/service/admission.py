@@ -1,8 +1,9 @@
 """Cache-aware admission: collapse identical in-flight work across clients.
 
 The harness already dedupes identical requests *within* one grid call
-(:func:`~repro.harness.parallel.run_requests_resilient`) and serves
-repeats *after* completion from the content-addressed disk cache.  The
+(:meth:`~repro.harness.runner.SuiteRunner.run_grid_outcomes` runs each
+distinct request once) and serves repeats *after* completion from the
+content-addressed disk cache.  The
 service closes the remaining window: two clients submitting the same
 :class:`~repro.harness.parallel.RunRequest` while it is queued or
 executing must share one execution, not race two.

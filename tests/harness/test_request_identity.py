@@ -1,11 +1,11 @@
 """``RunRequest.identity`` is the dedupe key — it must be content-stable.
 
-The service's cross-client admission dedupe and the harness's in-grid
+The service's cross-client admission dedupe and the runner's in-grid
 dedupe both assume: equal request fields ⟺ equal identity, and the
 digest survives pickling and process boundaries (requests travel to
 worker processes and back).  Hypothesis drives the equivalence; a
-subprocess pins the cross-interpreter case; a real resilient grid pins
-"equal keys dedupe to one execution".
+subprocess pins the cross-interpreter case; a real pooled runner grid
+pins "equal keys dedupe to one execution".
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from repro.energy.model import EnergyModel
-from repro.harness.parallel import RunOutcome, RunRequest, WorkerPool, \
-    run_requests_resilient
-from repro.obs.metrics import MetricsRegistry
+from repro.harness.parallel import RunOutcome, RunRequest
+from repro.harness.runner import SuiteRunner
 from repro.sim import GPUConfig
 
 
@@ -82,27 +80,22 @@ def test_identity_stable_across_interpreters():
 def test_equal_requests_dedupe_to_one_execution():
     dup = RunRequest.make("bfs", "baseline")
     other = RunRequest.make("nw", "baseline")
-    registry = MetricsRegistry()
-    delivered = {}
-    pool = WorkerPool(GPUConfig(**SMALL), EnergyModel().params, jobs=2)
-    try:
-        outcomes = run_requests_resilient(
-            pool,
+    delivered = []
+    with SuiteRunner(cache=False, config=GPUConfig(**SMALL)) as runner:
+        outcomes = runner.run_grid_outcomes(
             [dup, dup, other, dup],
-            metrics=registry.scope("harness"),
-            on_outcome=lambda i, o: delivered.setdefault(i, o),
+            jobs=2,
+            on_outcome=lambda i, o: delivered.append((i, o)),
         )
-    finally:
-        pool.close()
+        executed = runner.metrics.as_dict()["harness.grid.ok"]
     assert [o.status for o in outcomes] == [RunOutcome.OK] * 4
-    # One execution: duplicates share the primary's result object and
-    # attempt accounting, and each dedupe is metered.
+    # One execution per distinct request, on the pool: duplicates share
+    # the first occurrence's result object and attempt accounting.
+    assert executed == 2
     assert outcomes[1].result is outcomes[0].result
     assert outcomes[3].result is outcomes[0].result
     assert outcomes[2].result is not outcomes[0].result
     assert outcomes[1].attempts == outcomes[0].attempts == 1
-    assert registry.as_dict()["harness.grid.deduped"] == 2
-    assert registry.as_dict()["harness.grid.ok"] == 2
     # The streaming hook fired exactly once per request index.
-    assert sorted(delivered) == [0, 1, 2, 3]
-    assert delivered[1].result is delivered[0].result
+    assert sorted(i for i, _ in delivered) == [0, 1, 2, 3]
+    assert dict(delivered)[1].result is dict(delivered)[0].result
