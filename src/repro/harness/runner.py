@@ -22,7 +22,7 @@ from __future__ import annotations
 import gc
 import pickle
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..compiler.pipeline import CompiledKernel, compile_kernel
@@ -57,15 +57,16 @@ RequestLike = Union[RunRequest, Tuple, Dict]
 
 @dataclass
 class RunResult:
-    """One simulation run plus its energy accounting."""
+    """One simulation run plus its energy accounting.
+
+    It holds no compiled kernel: :meth:`SuiteRunner.compiled` gives the
+    kernel of a benchmark, so a result is what a disk-cache entry stores
+    and what a worker sends back, as is."""
 
     benchmark: str
     backend: str
     osu_entries: int
     stats: SimStats
-    #: ``None`` only in a disk-cache entry; the runner that reads the
-    #: entry attaches its own compiled kernel.
-    compiled: CompiledKernel = field(repr=False)
     energy: EnergyBreakdown = field(repr=False)
     #: per-phase wall-clock seconds: ``compile`` / ``simulate`` / ``energy``
     #: / ``total`` (and ``cache_load`` when served from the disk cache).
@@ -180,8 +181,10 @@ class SuiteRunner:
         return self._compiled[name]
 
     def kernel_bytes(self, name: str) -> bytes:
-        """Serialized compiled kernel: the cache-key ingredient that makes
-        compiler changes invalidate stored results."""
+        """Serialized compiled kernel.  Not a cache-key ingredient (the
+        code salt covers the compiler); kept only for
+        ``perfbench/grid.py::traced_cell``, which sizes it and passes it
+        to :func:`~repro.harness.cache.run_digest`."""
         if name not in self._kernel_bytes:
             self._kernel_bytes[name] = pickle.dumps(
                 self.compiled(name), protocol=pickle.HIGHEST_PROTOCOL
@@ -233,15 +236,15 @@ class SuiteRunner:
         )
 
     def _digest(self, request: RunRequest) -> str:
+        """The run's cache key: its inputs only, so computing it builds
+        and compiles nothing."""
         cfg = self.config_for(request.backend, **dict(request.overrides))
-        workload = self.workload(request.benchmark)
         return run_digest(
             config=cfg,
             backend=request.backend,
             osu_entries=request.osu_entries,
             workload_name=request.benchmark,
-            workload_seed=workload.seed,
-            kernel_bytes=self.kernel_bytes(request.benchmark),
+            workload_seed=self.workload(request.benchmark).seed,
             energy_params=self.energy_model.params,
             window_series=request.window_series,
         )
@@ -249,17 +252,12 @@ class SuiteRunner:
     def _install(self, request: RunRequest, result: RunResult,
                  store: bool = True) -> RunResult:
         self._runs[self._memo_key(request)] = result
-        self._compiled.setdefault(request.benchmark, result.compiled)
         if store and self.cache is not None:
-            # The digest hashes the compiled kernel's bytes, so the kernel
-            # of any hit on it is this runner's: entries leave it out.
-            self.cache.put(self._digest(request),
-                           replace(result, compiled=None))
+            self.cache.put(self._digest(request), result)
         return result
 
     def _lookup(self, request: RunRequest) -> Optional[RunResult]:
-        """The memoized result, else the disk-cached one (then memoized,
-        with this runner's compiled kernel attached)."""
+        """The memoized result, else the disk-cached one (then memoized)."""
         hit = self._runs.get(self._memo_key(request))
         if hit is None and self.cache is not None:
             digest = self._digest(request)
@@ -267,7 +265,6 @@ class SuiteRunner:
             hit = self.cache.get(digest)
             if hit is not None:
                 hit.timings["cache_load"] = time.perf_counter() - t0
-                hit.compiled = self.compiled(request.benchmark)
                 self._install(request, hit, store=False)
         return hit
 
@@ -339,7 +336,6 @@ class SuiteRunner:
             backend=request.backend,
             osu_entries=request.osu_entries,
             stats=stats,
-            compiled=compiled,
             energy=energy,
             timings={
                 "compile": t_compiled - t_start,

@@ -1,15 +1,18 @@
 """Persistent result cache: round-trip identity and key invalidation."""
 
 import multiprocessing
+import os
 import pickle
-import time
+import shutil
+from dataclasses import fields, replace
 
-import pytest
-
+import repro
 from repro.energy.model import EnergyParams
 from repro.harness import (ResultCache, RunOutcome, RunRequest, SuiteRunner,
                            run_digest)
+from repro.harness import cache as cache_module
 from repro.sim import GPUConfig
+from repro.workloads import Workload, workload_names
 
 
 SMALL = dict(warps_per_sm=8, schedulers_per_sm=2, cta_size_warps=4)
@@ -36,27 +39,27 @@ class TestRoundTrip:
         assert warm.stats.counters == cold.stats.counters
         assert warm.energy == cold.energy
 
-        # Entries leave the compiled kernel out; a hit carries the
-        # reading runner's own.
-        assert warm.compiled is second.compiled("bfs")
-        digest = second._digest(RunRequest.make("bfs", "regless"))
-        assert ResultCache(str(tmp_path)).get(digest).compiled is None
+    def test_warm_hit_builds_and_compiles_nothing(self, tmp_path,
+                                                  monkeypatch):
+        """The key is the run's inputs, so a fresh runner serves a filled
+        store without building or compiling a kernel; ``cache_load``
+        times the entry read alone."""
+        cells = [("bfs", "baseline"), ("bfs", "regless"), ("nw", "rfv")]
+        filled = make_runner(tmp_path).run_grid(cells, jobs=1)
 
-    def test_cache_load_excludes_the_key(self, tmp_path):
-        """``cache_load`` times the entry read, not the kernel build and
-        compile that the first digest of a kernel pays for."""
-        make_runner(tmp_path).run("bfs", "baseline")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cache hit built or compiled a kernel")
 
-        class SlowCompile(SuiteRunner):
-            def compiled(self, name):
-                time.sleep(0.05)
-                return super().compiled(name)
-
-        warm = SlowCompile(config=GPUConfig(**SMALL),
-                           cache=ResultCache(str(tmp_path)))
-        hit = warm.run("bfs", "baseline")
-        assert warm.cache.hits == 1
-        assert hit.timings["cache_load"] < 0.05
+        monkeypatch.setattr("repro.harness.runner.compile_kernel", forbidden)
+        monkeypatch.setattr(Workload, "kernel", forbidden)
+        served, gridded = make_runner(tmp_path), make_runner(tmp_path)
+        hit = served.run(*cells[0])
+        grid = gridded.run_grid(cells, jobs=1)
+        assert (served.cache.hits, gridded.cache.hits) == (1, 3)
+        assert served.cache.misses == gridded.cache.misses == 0
+        for result, want in zip([hit] + grid, filled[:1] + filled):
+            assert "cache_load" in result.timings
+            assert result.stats.counters == want.stats.counters
 
     def test_memo_wins_over_disk(self, tmp_path):
         runner = make_runner(tmp_path)
@@ -189,7 +192,6 @@ class TestDigest:
             osu_entries=512,
             workload_name="bfs",
             workload_seed=1,
-            kernel_bytes=b"kernel-v1",
             energy_params=EnergyParams(),
             salt="fixed-salt",
         )
@@ -204,8 +206,58 @@ class TestDigest:
             config=GPUConfig(**dict(SMALL, warps_per_sm=16))
         )
 
-    def test_kernel_change_invalidates(self):
-        assert self.digest() != self.digest(kernel_bytes=b"kernel-v2")
+    def test_kernel_bytes_are_not_hashed(self):
+        assert self.digest() == self.digest(kernel_bytes=b"any kernel")
+
+    def test_source_edit_changes_every_digest(self, tmp_path, monkeypatch):
+        """The key holds no kernel bytes: a compiler or workload edit
+        invalidates every cell through the code salt."""
+        pkg = os.path.dirname(os.path.abspath(repro.__file__))
+        runner = SuiteRunner(cache=False)
+        requests = [RunRequest.make(name, backend)
+                    for name in workload_names()
+                    for backend in ("baseline", "rfh", "rfv", "regless",
+                                    "regless-nc")]
+
+        def digests(root):
+            monkeypatch.setattr(repro, "__file__",
+                                os.path.join(root, "__init__.py"))
+            monkeypatch.setattr(cache_module, "_CODE_SALT", None)
+            return [runner._digest(r) for r in requests]
+
+        def copy(name, edited=None):
+            root = str(tmp_path / name)
+            shutil.copytree(pkg, root,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            if edited is not None:
+                with open(os.path.join(root, edited), "a") as fh:
+                    fh.write("# edited\n")
+            return root
+
+        original = digests(pkg)
+        assert len(set(original)) == 21 * 5
+        assert digests(copy("pristine")) == original
+        for edited in ("compiler/regalloc.py", "workloads/rodinia.py"):
+            changed = digests(copy(edited.split("/")[0], edited))
+            assert all(a != b for a, b in zip(original, changed)), edited
+
+    def test_every_config_and_energy_field_changes_the_digest(self):
+        def perturbed(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, (int, float)):
+                return value + 1
+            return value + "-other"
+
+        base = self.digest()
+        seen = {base}
+        for param in ("config", "energy_params"):
+            obj = GPUConfig(**SMALL) if param == "config" else EnergyParams()
+            for f in fields(obj):
+                other = replace(obj, **{f.name: perturbed(getattr(obj, f.name))})
+                digest = self.digest(**{param: other})
+                assert digest not in seen, f.name
+                seen.add(digest)
 
     def test_code_salt_change_invalidates(self):
         assert self.digest() != self.digest(salt="other-salt")

@@ -45,9 +45,7 @@ class ThreadWorkers:
         gate = self.held.get(request.key)
         if gate is not None:
             assert gate.wait(timeout=30)
-        result = fake_result(request)
-        result.compiled = None
-        return result
+        return fake_result(request)
 
     def release(self, request):
         self.held[request.key].set()

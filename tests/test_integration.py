@@ -65,7 +65,7 @@ class TestConservation:
         """Dynamic preloads = sum over executed regions of their static
         preload count; each activation preloads exactly its annotation."""
         rl = runner.run(name, "regless")
-        ck = rl.compiled
+        ck = runner.compiled(name)
         max_static = max((a.n_preloads for a in ck.annotations), default=0)
         executions = rl.stats.counter("region_executions")
         assert rl.stats.counter("preloads") <= max_static * executions
