@@ -59,9 +59,9 @@ RequestLike = Union[RunRequest, Tuple, Dict]
 class RunResult:
     """One simulation run plus its energy accounting.
 
-    It holds no compiled kernel: :meth:`SuiteRunner.compiled` gives the
-    kernel of a benchmark, so a result is what a disk-cache entry stores
-    and what a worker sends back, as is."""
+    It carries no compiled kernel (:meth:`SuiteRunner.compiled` gives a
+    benchmark's), so a disk-cache entry and a worker's reply are the
+    result as is."""
 
     benchmark: str
     backend: str
@@ -183,8 +183,8 @@ class SuiteRunner:
     def kernel_bytes(self, name: str) -> bytes:
         """Serialized compiled kernel.  Not a cache-key ingredient (the
         code salt covers the compiler); kept only for
-        ``perfbench/grid.py::traced_cell``, which sizes it and passes it
-        to :func:`~repro.harness.cache.run_digest`."""
+        ``perfbench/grid.py::traced_cell``, which reports its size and
+        passes it to :func:`~repro.harness.cache.run_digest`."""
         if name not in self._kernel_bytes:
             self._kernel_bytes[name] = pickle.dumps(
                 self.compiled(name), protocol=pickle.HIGHEST_PROTOCOL

@@ -134,21 +134,24 @@ class TestMetadataCounts:
         assert all(a.n_metadata_insns == 1 for a in ck.annotations)
 
 
-#: prints one ``<kernel> <sha256 of its kernel_bytes>`` line per kernel.
+#: prints one ``<kernel> <sha256 of its pickled compiled kernel>`` line
+#: per kernel.
 KERNEL_DIGESTS = """
-import hashlib
+import hashlib, pickle
 from repro.harness import SuiteRunner
 from repro.workloads import workload_names
 runner = SuiteRunner(cache=False)
 for name in workload_names():
-    print(name, hashlib.sha256(runner.kernel_bytes(name)).hexdigest())
+    data = pickle.dumps(runner.compiled(name), pickle.HIGHEST_PROTOCOL)
+    print(name, hashlib.sha256(data).hexdigest())
 """
 
 
 def test_compiled_kernels_do_not_depend_on_hash_seed():
     """Annotation placement once walked a set of block labels in hash
-    order, so a kernel (and every cache key built from it) could differ
-    between processes with different ``PYTHONHASHSEED``."""
+    order, so a kernel could differ between processes with different
+    ``PYTHONHASHSEED``.  The result cache keys a run on its inputs, not
+    its kernel, and relies on this."""
     src = str(Path(__file__).resolve().parents[2] / "src")
     digests = []
     for seed in ("0", "1"):

@@ -11,6 +11,7 @@ from repro.energy.model import EnergyParams
 from repro.harness import (ResultCache, RunOutcome, RunRequest, SuiteRunner,
                            run_digest)
 from repro.harness import cache as cache_module
+from repro.harness.runner import BACKENDS
 from repro.sim import GPUConfig
 from repro.workloads import Workload, workload_names
 
@@ -216,8 +217,7 @@ class TestDigest:
         runner = SuiteRunner(cache=False)
         requests = [RunRequest.make(name, backend)
                     for name in workload_names()
-                    for backend in ("baseline", "rfh", "rfv", "regless",
-                                    "regless-nc")]
+                    for backend in BACKENDS + ("regless-nc",)]
 
         def digests(root):
             monkeypatch.setattr(repro, "__file__",
@@ -249,12 +249,12 @@ class TestDigest:
                 return value + 1
             return value + "-other"
 
-        base = self.digest()
-        seen = {base}
-        for param in ("config", "energy_params"):
-            obj = GPUConfig(**SMALL) if param == "config" else EnergyParams()
+        seen = {self.digest()}
+        for param, obj in (("config", GPUConfig(**SMALL)),
+                           ("energy_params", EnergyParams())):
             for f in fields(obj):
-                other = replace(obj, **{f.name: perturbed(getattr(obj, f.name))})
+                value = perturbed(getattr(obj, f.name))
+                other = replace(obj, **{f.name: value})
                 digest = self.digest(**{param: other})
                 assert digest not in seen, f.name
                 seen.add(digest)
