@@ -6,7 +6,6 @@ Examples::
     python -m repro.harness fig17 --names bfs nw  # subset of benchmarks
     python -m repro.harness all                   # every experiment
     python -m repro.harness all --jobs 8          # fan runs over 8 workers
-    python -m repro.harness bench                 # time serial/parallel/warm
     python -m repro.harness fig16 --profile       # cProfile hotspots
     python -m repro.harness stalls bfs nw         # warp-cycle stall breakdown
     python -m repro.harness trace bfs --perfetto  # Chrome-trace JSON export
@@ -34,7 +33,6 @@ from typing import List, Optional
 from . import experiments as ex
 from . import report
 from ..sim.watchdog import WatchdogConfig
-from .bench import run_bench
 from .parallel import FaultPolicy, GridFailure
 from .runner import BACKENDS, SuiteRunner
 from .export import export_all
@@ -76,6 +74,11 @@ def run_experiment(name: str, runner: SuiteRunner,
     return render(fn(runner))
 
 
+#: every verb ``python -m repro.harness`` accepts.
+VERBS = tuple(sorted(_RENDER)) + ("all", "validate", "seeds", "export",
+                                  "stalls", "trace", "serve")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
@@ -83,14 +86,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_RENDER) + ["all", "validate", "seeds", "export",
-                                   "bench", "stalls", "trace", "serve"],
+        choices=VERBS,
         help="which table/figure to regenerate ('validate' checks the "
-             "paper's claims; 'bench' times the execution layer; 'stalls' "
-             "prints the warp-cycle stall breakdown; 'trace' records a "
-             "pipeline trace; 'seeds' runs the seed-stability study; "
-             "'serve' starts the simulation-service daemon, see "
-             "docs/service.md)",
+             "paper's claims; 'stalls' prints the warp-cycle stall "
+             "breakdown; 'trace' records a pipeline trace; 'seeds' runs "
+             "the seed-stability study; 'serve' starts the "
+             "simulation-service daemon, see docs/service.md)",
     )
     parser.add_argument(
         "benchmarks",
@@ -128,34 +129,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="export format (default: csv)",
     )
     parser.add_argument(
-        "--backends",
-        nargs="*",
-        choices=BACKENDS + ("regless-nc", "all"),
-        default=None,
-        help="for 'bench': backend subset (default: the four paper "
-             "backends; 'all' expands to all five including regless-nc)",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        metavar="PATH",
-        help="for 'bench': also write the machine-readable measurement "
-             "(per-run wall-clock, simulated cycles, cycles/sec) as JSON",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
         help="worker processes for the run grid "
              "(default: $REPRO_JOBS or CPU count)",
-    )
-    parser.add_argument(
-        "--scaling",
-        action="store_true",
-        help="for 'bench': additionally sweep the cold parallel leg over "
-             "--jobs in {1,2,4,8} and report runs-vs-jobs-vs-wall-clock "
-             "rows (included in the --json payload as 'scaling')",
     )
     parser.add_argument(
         "--no-cache",
@@ -251,6 +229,13 @@ def main(argv: Optional[List[str]] = None) -> int:
              "half-open recovery probe (default 30)",
     )
     args = parser.parse_args(argv)
+    # A zero deadline would mean "none" to the retry loop but trip every
+    # run in the watchdog, and an infinite one overflows the loop's wait;
+    # reject both, and a negative retry budget, here.
+    if args.timeout is not None and not 0 < args.timeout < float("inf"):
+        parser.error("--timeout must be a positive number of seconds")
+    if args.retries is not None and args.retries < 0:
+        parser.error("--retries must be 0 or more")
 
     if args.profile:
         import cProfile
@@ -268,20 +253,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.experiment == "bench":
-        names = args.names if args.names is not None else (args.benchmarks or None)
-        backends = args.backends or BACKENDS
-        if "all" in backends:
-            backends = BACKENDS + ("regless-nc",)
-        print(run_bench(
-            names=names,
-            backends=backends,
-            jobs=args.jobs,
-            json_path=args.json_path,
-            scaling=args.scaling,
-        ))
-        return 0
-
     names = args.names if args.names is not None else (args.benchmarks or None)
     policy = None
     watchdog = None

@@ -3,8 +3,11 @@
 The evaluation grid — (benchmark x backend x OSU capacity) — is
 embarrassingly parallel: every run is an independent cycle-level
 simulation.  :func:`run_requests_resilient` executes a batch of
-:class:`RunRequest`\\ s on a :class:`WorkerPool` and returns one
-:class:`RunOutcome` per request, in request order.
+:class:`RunRequest`\\ s and returns one :class:`RunOutcome` per request,
+in request order.  It is the one retry loop: it drives a
+:class:`WorkerPool` when a grid fans out, and an
+:class:`InProcessWorkers` when the grid stays in the calling process
+(one effective worker, or one miss).
 
 A :class:`WorkerPool` outlives the grid calls that use it: its processes
 start at the first submitted run, are replaced only after a broken pool
@@ -43,11 +46,18 @@ long sweep actually hits:
 
 Retries back off exponentially with deterministic jitter (hash of the
 request key and attempt number — reproducible, yet de-synchronized across
-requests).  A request whose failures reach ``quarantine_after`` while
-budget remains is **quarantined** — stops burning retries on a run that
-keeps killing workers.  The sweep always completes: every request ends in
-exactly one :class:`RunOutcome` (``ok`` / ``hung`` / ``crashed`` /
-``quarantined``) and partial results survive.
+requests); a request waiting out its backoff holds no worker, so the
+next request runs meanwhile.  A request whose failures reach
+``quarantine_after`` while budget remains is **quarantined** — stops
+burning retries on a run that keeps killing workers.  The sweep always
+completes: every request ends in exactly one :class:`RunOutcome`
+(``ok`` / ``hung`` / ``crashed`` / ``quarantined``) and partial results
+survive.
+
+In-process runs get the same retries, backoff, quarantine and metrics,
+but no per-run timeout (a run in the calling thread cannot be stopped;
+the runner's watchdog still can), and ``REPRO_FAULTS`` specs fire only
+in pool workers.
 """
 
 from __future__ import annotations
@@ -74,6 +84,7 @@ from typing import (
     Set,
     Tuple,
     TYPE_CHECKING,
+    Union,
 )
 
 from ..sim.watchdog import SimulationHang, WatchdogConfig
@@ -87,6 +98,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "FaultPolicy",
     "GridFailure",
+    "InProcessWorkers",
     "RunFeed",
     "RunOutcome",
     "RunRequest",
@@ -335,6 +347,10 @@ class WorkerPool:
         future.add_done_callback(self._running.discard)
         return future
 
+    def submit_run(self, request: RunRequest) -> Future:
+        """Run ``request`` on a worker's private runner."""
+        return self.submit(_run_request, request)
+
     def rebuild(self, kill: bool = False) -> None:
         """Abandon the current workers; the next :meth:`submit` forks new
         ones.  ``kill`` terminates them first — the only way to stop a
@@ -356,6 +372,31 @@ class WorkerPool:
             for proc in list((executor._processes or {}).values()):
                 proc.terminate()
         executor.shutdown(wait=wait, cancel_futures=True)
+
+
+class InProcessWorkers:
+    """The pool surface :func:`run_requests_resilient` drives, in the
+    calling thread: :meth:`submit_run` executes the request on
+    ``runner`` and returns an already-completed future.  A run cannot be
+    stopped once started, so the loop's per-run deadline never fires
+    here (the runner's watchdog still applies), and :meth:`rebuild` has
+    nothing to replace."""
+
+    jobs = 1
+
+    def __init__(self, runner: "SuiteRunner"):
+        self.runner = runner
+
+    def submit_run(self, request: RunRequest) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(self.runner.execute(request))
+        except Exception as exc:  # noqa: BLE001 - the loop classifies it
+            future.set_exception(exc)
+        return future
+
+    def rebuild(self, kill: bool = False) -> None:
+        pass
 
 
 class RunFeed:
@@ -416,7 +457,7 @@ class _Tracked:
 
 
 def run_requests_resilient(
-    pool: WorkerPool,
+    pool: Union[WorkerPool, InProcessWorkers],
     requests: Sequence[RunRequest],
     policy: Optional[FaultPolicy] = None,
     metrics: Optional["MetricScope"] = None,
@@ -429,8 +470,11 @@ def run_requests_resilient(
     """Run the grid on ``pool`` with timeouts, retries, and dead-worker
     recovery.
 
-    Never raises for per-run failures: every request terminates in a
-    :class:`RunOutcome` (request order).  ``metrics`` (a
+    ``pool`` is anything with ``jobs``, ``submit_run(request) -> Future``
+    and ``rebuild(kill=False)``: a :class:`WorkerPool` or an
+    :class:`InProcessWorkers`.  Never raises for per-run failures: every
+    request terminates in a :class:`RunOutcome` (request order); a
+    recovered run's outcome keeps its last error text.  ``metrics`` (a
     :class:`~repro.obs.metrics.MetricScope`) receives ``grid.*`` failure
     events.  ``sleep``/``clock`` are injectable for tests.  The caller
     keeps ``pool`` (and its workers) for later calls and closes it.
@@ -543,12 +587,12 @@ def run_requests_resilient(
                 idx = queue.popleft()
                 tracked[idx].attempts += 1
                 try:
-                    fut = pool.submit(_run_request, tracked[idx].request)
+                    fut = pool.submit_run(tracked[idx].request)
                 except BrokenProcessPool:
                     # A worker died since the last submit — between runs,
                     # even between calls: the pool refuses all work.
                     lose_pool(now)
-                    fut = pool.submit(_run_request, tracked[idx].request)
+                    fut = pool.submit_run(tracked[idx].request)
                 deadline = (now + policy.timeout) if policy.timeout else None
                 inflight[fut] = (idx, deadline)
             if not inflight:

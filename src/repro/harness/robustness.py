@@ -6,7 +6,7 @@ if its conclusions do not hinge on one lucky seed, so this module re-runs
 the key comparisons across several seeds and reports mean, min and max of
 each headline ratio.
 
-    python -m repro.harness robustness
+    python -m repro.harness seeds
 """
 
 from __future__ import annotations

@@ -33,12 +33,13 @@ from ..regfile.base import OperandStorage
 from ..regless import ReglessConfig, ReglessStorage
 from ..sim.config import GPUConfig
 from ..sim.gpu import SimStats, run_simulation
-from ..sim.watchdog import SimulationHang, Watchdog, WatchdogConfig
+from ..sim.watchdog import Watchdog, WatchdogConfig
 from ..workloads import Workload, make_workload, workload_names
 from .cache import ResultCache, cache_enabled, run_digest
 from .parallel import (
     FaultPolicy,
     GridFailure,
+    InProcessWorkers,
     RunFeed,
     RunOutcome,
     RunRequest,
@@ -389,14 +390,15 @@ class SuiteRunner:
         exception for per-run failures.
 
         Memo/cache hits come back as ``ok`` outcomes with zero attempts;
-        identical misses run once; misses run under the runner's fault
-        policy (timeouts, retries, quarantine — see
-        :func:`~repro.harness.parallel.run_requests_resilient`) and the
-        runner's watchdog config.  With one effective worker, or a single
-        miss, they run in this process; otherwise on the runner's pool.
-        Successful runs are installed in the memo and disk cache
-        regardless of how the rest of the grid fared, so partial results
-        always survive.
+        identical misses run once.  Every miss goes through
+        :func:`~repro.harness.parallel.run_requests_resilient` under the
+        runner's fault policy (retries, backoff, quarantine) and watchdog
+        config.  With one effective worker, or a single miss, and no
+        ``feed``, the loop runs them in this process
+        (:class:`~repro.harness.parallel.InProcessWorkers`: no per-run
+        timeout); otherwise on the runner's pool.  Successful runs are
+        installed in the memo and disk cache regardless of how the rest
+        of the grid fared, so partial results always survive.
 
         ``feed`` (a :class:`~repro.harness.parallel.RunFeed`) lets the
         caller add requests while the call runs; they get the next
@@ -442,61 +444,17 @@ class SuiteRunner:
 
         misses = [req for req in reqs if admit(req)]
         jobs_n = resolve_jobs(jobs if jobs is not None else self.jobs)
-        if feed is None and (jobs_n <= 1 or len(misses) <= 1):
-            for req in misses:
-                resolve(self._execute_resilient(req))
-        elif misses or feed is not None:
-            run_requests_resilient(
-                self._pool_for(jobs_n),
-                misses,
-                policy=self.policy,
-                metrics=self._metrics_scope,
-                on_outcome=lambda _, out: resolve(out),
-                feed=feed,
-                admit=admit,
-            )
+        in_process = feed is None and (jobs_n <= 1 or len(misses) <= 1)
+        run_requests_resilient(
+            InProcessWorkers(self) if in_process else self._pool_for(jobs_n),
+            misses,
+            policy=self.policy,
+            metrics=self._metrics_scope,
+            on_outcome=lambda _, out: resolve(out),
+            feed=feed,
+            admit=admit,
+        )
         return outcomes  # type: ignore[return-value]
-
-    def _execute_resilient(self, request: RunRequest) -> RunOutcome:
-        """In-process counterpart of the resilient worker loop (used when
-        the grid stays serial).  A hang is only catchable here if the
-        watchdog converts it into :class:`SimulationHang`; worker kills
-        obviously can't be survived in-process."""
-        policy = self.policy or FaultPolicy()
-        scope = self._metrics_scope
-        attempts = 0
-        last_error = ""
-        last_diagnostics = None
-        while True:
-            attempts += 1
-            try:
-                result = self.execute(request)
-            except SimulationHang as exc:
-                kind, last_error = RunOutcome.HUNG, str(exc)
-                last_diagnostics = exc.diagnostics
-            except Exception as exc:  # noqa: BLE001
-                kind = RunOutcome.CRASHED
-                last_error = f"{type(exc).__name__}: {exc}"
-            else:
-                scope.inc("grid.ok")
-                return RunOutcome(
-                    request, RunOutcome.OK, result, attempts, attempts - 1
-                )
-            scope.inc(f"grid.failure_{kind}")
-            if attempts > policy.retries:
-                scope.inc(f"grid.{kind}")
-                return RunOutcome(
-                    request, kind, None, attempts, attempts - 1, last_error,
-                    diagnostics=last_diagnostics,
-                )
-            if attempts >= policy.quarantine_after:
-                scope.inc("grid.quarantined")
-                return RunOutcome(
-                    request, RunOutcome.QUARANTINED, None, attempts,
-                    attempts - 1, last_error, diagnostics=last_diagnostics,
-                )
-            scope.inc("grid.retries")
-            time.sleep(policy.delay(request.key, attempts))
 
     def prefetch(
         self,

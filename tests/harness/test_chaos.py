@@ -170,6 +170,100 @@ class TestWorkerDeath:
         assert failure.outcomes[1].result is runner.run("bfs", "baseline")
 
 
+# -- one worker: the same retry loop, in-process -----------------------------
+
+
+SMALL = GPUConfig(warps_per_sm=8, schedulers_per_sm=2, cta_size_warps=4)
+FLAKY = RunRequest.make("bfs", "baseline")
+CLEAN = RunRequest.make("nw", "baseline")
+
+
+def flaky_execute(monkeypatch, failures: int, error=None):
+    """Make ``SuiteRunner.execute`` raise on FLAKY's first ``failures``
+    calls (``error()`` if given, else a RuntimeError), then run it for
+    real.  Returns the keys of every call, in order."""
+    real = SuiteRunner.execute
+    calls = []
+
+    def execute(self, request):
+        calls.append(request.key)
+        if request == FLAKY and calls.count(FLAKY.key) <= failures:
+            raise error() if error else RuntimeError("transient glitch")
+        return real(self, request)
+
+    monkeypatch.setattr(SuiteRunner, "execute", execute)
+    return calls
+
+
+def one_worker_runner(**policy) -> SuiteRunner:
+    return SuiteRunner(config=SMALL, cache=False,
+                       policy=FaultPolicy(backoff=0.01, **policy))
+
+
+class TestOneWorkerRetries:
+    """``jobs=1`` grids run in this process through the pool's retry loop:
+    same retries, backoff, quarantine, outcomes and metrics (no per-run
+    timeout, and no REPRO_FAULTS, which fire only in pool workers)."""
+
+    def test_transient_crashes_recover(self, monkeypatch):
+        flaky_execute(monkeypatch, failures=2)
+        runner = one_worker_runner(retries=2)
+        (outcome,) = runner.run_grid_outcomes([FLAKY], jobs=1)
+        assert outcome.status == RunOutcome.OK
+        assert outcome.attempts == 3 and outcome.retried == 2
+        assert outcome.result.stats.finished
+        # a recovered outcome keeps its last error text, as pool ones do
+        assert outcome.error == "RuntimeError: transient glitch"
+        assert runner.metrics.get("harness.grid.failure_crashed") == 2
+        assert runner.metrics.get("harness.grid.retries") == 2
+        assert runner.metrics.get("harness.grid.ok") == 1
+        assert runner.run("bfs", "baseline") is outcome.result
+
+    def test_exhausted_retries_crash(self, monkeypatch):
+        flaky_execute(monkeypatch, failures=1000)
+        runner = one_worker_runner(retries=1, quarantine_after=5)
+        (outcome,) = runner.run_grid_outcomes([FLAKY], jobs=1)
+        assert outcome.status == RunOutcome.CRASHED
+        assert outcome.attempts == 2 and outcome.result is None
+        assert outcome.error == "RuntimeError: transient glitch"
+        assert runner.metrics.get("harness.grid.crashed") == 1
+
+    def test_poison_run_quarantined(self, monkeypatch):
+        flaky_execute(monkeypatch, failures=1000)
+        runner = one_worker_runner(retries=6, quarantine_after=2)
+        (outcome,) = runner.run_grid_outcomes([FLAKY], jobs=1)
+        assert outcome.status == RunOutcome.QUARANTINED
+        assert outcome.attempts == 2  # stopped early, budget remained
+        assert runner.metrics.get("harness.grid.quarantined") == 1
+
+    def test_watchdog_hang_surfaces_with_diagnostics(self, monkeypatch):
+        diagnostics = {"dominant": {"sm": 0, "shard": 1,
+                                    "stall": "cm_inactive"}}
+        flaky_execute(monkeypatch, failures=1000, error=lambda: SimulationHang(
+            "no_progress", cycle=4096, diagnostics=diagnostics))
+        runner = one_worker_runner(retries=1)
+        (outcome,) = runner.run_grid_outcomes([FLAKY], jobs=1)
+        assert outcome.status == RunOutcome.HUNG
+        assert outcome.attempts == 2
+        assert outcome.diagnostics == diagnostics
+        assert "simulation hang (no_progress) at cycle 4096" in outcome.error
+        assert runner.metrics.get("harness.grid.failure_hung") == 2
+        assert runner.metrics.get("harness.grid.hung") == 1
+
+    def test_backoff_does_not_block_the_next_request(self, monkeypatch):
+        calls = flaky_execute(monkeypatch, failures=1)
+        runner = one_worker_runner(retries=2)
+        seen = []
+        outcomes = runner.run_grid_outcomes(
+            [FLAKY, CLEAN], jobs=1,
+            on_outcome=lambda index, outcome: seen.append(index),
+        )
+        assert all(o.ok for o in outcomes)
+        # CLEAN runs while FLAKY waits out its backoff
+        assert calls == [FLAKY.key, CLEAN.key, FLAKY.key]
+        assert seen == [1, 0]
+
+
 # -- run hangs ----------------------------------------------------------------
 
 
@@ -263,6 +357,31 @@ class TestCLIResilience:
         captured = capsys.readouterr()
         assert "SEEDS-OK" in captured.out
         assert "deprecated" not in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--timeout", "0"], ["--timeout", "-1"], ["--retries", "-1"],
+    ])
+    def test_contradictory_flags_rejected(self, flags, capsys):
+        from repro.harness import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["stalls", "bfs", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_timeout_and_retries_reach_the_runner(self, monkeypatch):
+        from repro.harness import cli
+
+        seen = []
+        monkeypatch.setattr(
+            cli, "_dispatch_runner",
+            lambda args, runner, names: seen.append(runner) or 0,
+        )
+        assert cli.main(["stalls", "bfs", "--timeout", "300",
+                         "--retries", "2", "--no-cache"]) == 0
+        (runner,) = seen
+        assert runner.policy == FaultPolicy(timeout=300.0, retries=2)
+        assert runner.watchdog == WatchdogConfig(max_wall_seconds=300.0)
 
     def test_unrecoverable_sweep_exits_nonzero(self, tmp_path, capsys):
         from repro.harness import cli

@@ -3,8 +3,8 @@
 Pipelines parse the seed-stability report from stdout, so ``seeds``
 writes nothing to stderr.  ``robustness`` was its deprecated alias (the
 name now belongs to the resilience layer, docs/robustness.md) and is no
-longer a verb.  The study itself is stubbed out: these tests are about
-the CLI surface, not simulation.
+longer a verb, nor is ``bench``.  The study itself is stubbed out: these
+tests are about the CLI surface, not simulation.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ def test_seeds_forwards_names(stubbed_study, capsys):
 
 
 def test_robustness_alias_is_retired(stubbed_study, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["robustness"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    # ``bench``, the old harness timer, is retired the same way.
+    for verb in ("robustness", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([verb])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
     assert stubbed_study == []

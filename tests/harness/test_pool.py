@@ -137,7 +137,7 @@ class EchoWorkers:
         self.jobs = jobs
         self._threads = ThreadPoolExecutor(max_workers=jobs)
 
-    def submit(self, fn, request):
+    def submit_run(self, request):
         return self._threads.submit(lambda: request)
 
     def rebuild(self, kill=False):

@@ -37,7 +37,7 @@ class ThreadWorkers:
         self.started = []
         self._threads = ThreadPoolExecutor(max_workers=jobs)
 
-    def submit(self, fn, request):
+    def submit_run(self, request):
         return self._threads.submit(self._run, request)
 
     def _run(self, request):

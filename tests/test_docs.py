@@ -1,7 +1,10 @@
 """Documentation integrity: referenced files, modules and CLI verbs exist."""
 
+import ast
+import glob
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +39,35 @@ def test_readme_mentions_every_experiment_verb():
     readme = open("README.md").read()
     for verb in _RENDER:
         assert verb in readme, f"README does not document {verb}"
+
+
+def _docstrings(path):
+    tree = ast.parse(Path(path).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            yield ast.get_docstring(node) or ""
+
+
+def test_documented_verbs_exist():
+    """Every ``python -m repro.harness <verb>`` a reader may copy (the
+    docs, the skill notes, source docstrings) names a verb the CLI
+    accepts."""
+    from repro.harness.cli import VERBS
+
+    texts = {doc: Path(doc).read_text()
+             for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md",
+                         "examples/README.md",
+                         *sorted(glob.glob("docs/*.md")),
+                         *sorted(glob.glob(".*/skills/*/SKILL.md"))]}
+    for path in sorted(glob.glob("src/repro/**/*.py", recursive=True)):
+        texts[path] = "\n".join(_docstrings(path))
+    used = [(where, verb)
+            for where, text in texts.items()
+            for verb in re.findall(
+                r"python3? -m repro\.harness[ \t]+([a-z][\w-]*)", text)]
+    assert len(used) > 20
+    assert [(where, verb) for where, verb in used if verb not in VERBS] == []
 
 
 def test_design_lists_every_benchmark_figure():
