@@ -33,6 +33,14 @@ def run_mix(region_config=None, regless_config=None):
     return geomean(ratios)
 
 
+def record_margin(benchmark, on, off):
+    """Print and record ``off / on - 1``, the geomean run-time cost of
+    turning the mechanism off: negative when the mechanism costs time."""
+    margin = off / on - 1
+    print(f"off/on - 1 = {margin:+.4f}")
+    benchmark.extra_info["off_over_on_minus_1"] = margin
+
+
 def test_ablation_seam_splitting(benchmark):
     """Splitting at liveness seams vs at the latest valid point."""
     def experiment():
@@ -44,6 +52,7 @@ def test_ablation_seam_splitting(benchmark):
     print(f"\nAblation seam-splitting: seams={seams:.3f} naive={naive:.3f}")
     benchmark.extra_info["seams"] = seams
     benchmark.extra_info["naive"] = naive
+    record_margin(benchmark, seams, naive)
     # Seam splitting never hurts materially.
     assert seams <= naive * 1.05
 
@@ -59,6 +68,7 @@ def test_ablation_load_use_split(benchmark):
     print(f"\nAblation load/use split: split={split:.3f} fused={fused:.3f}")
     benchmark.extra_info["split"] = split
     benchmark.extra_info["fused"] = fused
+    record_margin(benchmark, split, fused)
     assert split <= fused * 1.10
 
 
@@ -73,6 +83,7 @@ def test_ablation_warp_stack(benchmark):
     print(f"\nAblation warp stack: lifo={lifo:.3f} fifo={fifo:.3f}")
     benchmark.extra_info["lifo"] = lifo
     benchmark.extra_info["fifo"] = fifo
+    record_margin(benchmark, lifo, fifo)
     assert lifo <= fifo * 1.10
 
 
@@ -87,6 +98,7 @@ def test_ablation_eviction_order(benchmark):
     print(f"\nAblation eviction: ordered={ordered:.3f} unordered={unordered:.3f}")
     benchmark.extra_info["ordered"] = ordered
     benchmark.extra_info["unordered"] = unordered
+    record_margin(benchmark, ordered, unordered)
     assert ordered <= unordered * 1.05
 
 
@@ -101,4 +113,5 @@ def test_ablation_compressor(benchmark):
     print(f"\nAblation compressor: on={on:.3f} off={off:.3f}")
     benchmark.extra_info["compressor_on"] = on
     benchmark.extra_info["compressor_off"] = off
+    record_margin(benchmark, on, off)
     assert on <= off * 1.02

@@ -1,7 +1,9 @@
 """Figure 18: RegLess L1 requests per cycle (preloads/stores/invalidations).
 
 Paper shape: on average fewer than 0.02 of the single L1 request/cycle is
-consumed by RegLess; benchmarks with no OSU misses consume none.
+consumed by RegLess; benchmarks with no OSU misses consume none.  Our
+compiler emits more cache invalidations than the paper's (EXPERIMENTS.md,
+known deviation 4), so they are bounded on their own.
 """
 
 from conftest import run_once
@@ -16,10 +18,16 @@ def test_fig18_l1_bandwidth(benchmark, runner, names):
     print(render_fig18(data))
 
     totals = {n: sum(row.values()) for n, row in data.items()}
+    staging = sum(r["preloads"] + r["stores"] for r in data.values()) / len(data)
+    inval = sum(r["invalidations"] for r in data.values()) / len(data)
     benchmark.extra_info["mean_req_per_cycle"] = sum(totals.values()) / len(totals)
+    benchmark.extra_info["mean_preload_store_per_cycle"] = staging
+    benchmark.extra_info["mean_inval_per_cycle"] = inval
     benchmark.extra_info["max_req_per_cycle"] = max(totals.values())
 
-    # Far below the 1 request/cycle L1 limit on average.
-    assert sum(totals.values()) / len(totals) < 0.15
+    # Preloads and stores: the paper's <0.02 of the 1 request/cycle port.
+    assert staging < 0.02
+    # Invalidations, our known deviation, stay far below the port too.
+    assert inval < 0.10
     # Every benchmark leaves most of the L1 port to (bypassed) data.
     assert max(totals.values()) < 0.8

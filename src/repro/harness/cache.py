@@ -49,7 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .runner import RunResult
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheCorruption", "ResultCache",
-           "cache_enabled", "cache_root", "code_salt", "run_digest"]
+           "cache_enabled", "cache_root", "code_salt", "digest_from_text",
+           "key_text", "run_digest"]
 
 
 def cache_enabled() -> bool:
@@ -98,6 +99,44 @@ def _field_items(obj) -> list:
     return sorted((f.name, getattr(obj, f.name)) for f in fields(obj))
 
 
+def key_text(params) -> str:
+    """The text a ``GPUConfig`` or ``EnergyParams`` adds to a run's key.
+
+    Both are flat frozen dataclasses of scalars, so their fields are read
+    directly rather than deep-copied.  The text depends on nothing but
+    the field values, so a caller that keeps the object may keep its
+    text (``SuiteRunner`` builds it once per configuration)."""
+    return repr(_field_items(params))
+
+
+def digest_from_text(
+    config_text: str,
+    backend: str,
+    osu_entries: int,
+    workload_name: str,
+    workload_seed: int,
+    energy_text: str,
+    window_series: Sequence[str] = (),
+    salt: Optional[str] = None,
+) -> str:
+    """:func:`run_digest` with the config and energy parameters given as
+    their :func:`key_text`.
+
+    The descriptor is the ``repr`` of the tuple ``(config fields,
+    backend, osu_entries, workload_name, workload_seed, window_series,
+    energy fields)``, written out so the two texts are spliced in
+    rather than rebuilt."""
+    h = hashlib.sha256()
+    h.update((salt if salt is not None else code_salt()).encode())
+    descriptor = (
+        f"({config_text}, {backend!r}, {int(osu_entries)!r}, "
+        f"{workload_name!r}, {int(workload_seed)!r}, "
+        f"{tuple(window_series)!r}, {energy_text})"
+    )
+    h.update(descriptor.encode())
+    return h.hexdigest()
+
+
 def run_digest(
     config: "GPUConfig",
     backend: str,
@@ -112,25 +151,14 @@ def run_digest(
 ) -> str:
     """Content digest identifying one simulation run.
 
-    ``config`` and ``energy_params`` are flat frozen dataclasses of
-    scalars, so their fields are read directly rather than deep-copied.
     ``kernel_bytes`` is accepted and ignored: the code salt already
     covers the compiled kernel.  It is kept only until
     ``perfbench/grid.py::traced_cell``, which still passes it, goes.
     """
-    h = hashlib.sha256()
-    h.update((salt if salt is not None else code_salt()).encode())
-    descriptor = repr((
-        _field_items(config),
-        backend,
-        int(osu_entries),
-        workload_name,
-        int(workload_seed),
-        tuple(window_series),
-        _field_items(energy_params),
-    ))
-    h.update(descriptor.encode())
-    return h.hexdigest()
+    return digest_from_text(
+        key_text(config), backend, osu_entries, workload_name,
+        workload_seed, key_text(energy_params), window_series, salt,
+    )
 
 
 #: bumped whenever the on-disk entry layout changes; older entries read

@@ -236,6 +236,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--timeout must be a positive number of seconds")
     if args.retries is not None and args.retries < 0:
         parser.error("--retries must be 0 or more")
+    # A job deadline of 0 would silently mean "none", and a negative or
+    # NaN one expires every job at the first sweep.
+    if args.deadline is not None and not 0 < args.deadline < float("inf"):
+        parser.error("--deadline must be a positive number of seconds")
 
     if args.profile:
         import cProfile

@@ -23,7 +23,8 @@ import gc
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..compiler.pipeline import CompiledKernel, compile_kernel
 from ..energy.model import EnergyBreakdown, EnergyModel
@@ -35,7 +36,7 @@ from ..sim.config import GPUConfig
 from ..sim.gpu import SimStats, run_simulation
 from ..sim.watchdog import Watchdog, WatchdogConfig
 from ..workloads import Workload, make_workload, workload_names
-from .cache import ResultCache, cache_enabled, run_digest
+from .cache import ResultCache, cache_enabled, digest_from_text, key_text
 from .parallel import (
     FaultPolicy,
     GridFailure,
@@ -142,6 +143,10 @@ class SuiteRunner:
         self._workloads: Dict[str, Workload] = {}
         self._compiled: Dict[str, CompiledKernel] = {}
         self._kernel_bytes: Dict[str, bytes] = {}
+        #: (backend, sorted override items) -> (effective config, its key
+        #: text); see :meth:`_config`.
+        self._configs: Dict[Tuple, Tuple[GPUConfig, str]] = {}
+        self._energy_text = key_text(self.energy_model.params)
         self._runs: Dict[Tuple, RunResult] = {}
         self._pool: Optional[WorkerPool] = None
 
@@ -193,14 +198,26 @@ class SuiteRunner:
         return self._kernel_bytes[name]
 
     def config_for(self, backend: str, **overrides) -> GPUConfig:
-        cfg = self.base_config
-        if backend in ("rfh", "rfv"):
-            # Both prior techniques are evaluated with the two-level warp
-            # scheduler they were designed around (paper section 6.4).
-            cfg = cfg.with_(scheduler="two_level")
-        if overrides:
-            cfg = cfg.with_(**overrides)
-        return cfg
+        return self._config(backend, tuple(sorted(overrides.items())))[0]
+
+    def _config(self, backend: str,
+                overrides: Tuple[Tuple[str, Any], ...]) -> Tuple[GPUConfig, str]:
+        """The effective config of ``backend`` under ``overrides`` (sorted
+        ``(field, value)`` items, as in :class:`RunRequest`) and the text
+        it adds to a cache key.  A grid asks for the same few
+        configurations once per cell, so each is built once per runner."""
+        entry = self._configs.get((backend, overrides))
+        if entry is None:
+            cfg = self.base_config
+            if backend in ("rfh", "rfv"):
+                # Both prior techniques are evaluated with the two-level
+                # warp scheduler they were designed around (paper section
+                # 6.4).
+                cfg = cfg.with_(scheduler="two_level")
+            if overrides:
+                cfg = cfg.with_(**dict(overrides))
+            entry = self._configs[(backend, overrides)] = (cfg, key_text(cfg))
+        return entry
 
     def storage_factory(
         self,
@@ -238,16 +255,17 @@ class SuiteRunner:
 
     def _digest(self, request: RunRequest) -> str:
         """The run's cache key: its inputs only, so computing it builds
-        and compiles nothing."""
-        cfg = self.config_for(request.backend, **dict(request.overrides))
-        return run_digest(
-            config=cfg,
-            backend=request.backend,
-            osu_entries=request.osu_entries,
-            workload_name=request.benchmark,
-            workload_seed=self.workload(request.benchmark).seed,
-            energy_params=self.energy_model.params,
-            window_series=request.window_series,
+        and compiles nothing.  Equal to
+        :func:`~repro.harness.cache.run_digest` over the run's config and
+        energy parameters, whose key texts come from this runner."""
+        return digest_from_text(
+            self._config(request.backend, request.overrides)[1],
+            request.backend,
+            request.osu_entries,
+            request.benchmark,
+            self.workload(request.benchmark).seed,
+            self._energy_text,
+            request.window_series,
         )
 
     def _install(self, request: RunRequest, result: RunResult,
@@ -301,7 +319,7 @@ class SuiteRunner:
         workload = self.workload(request.benchmark)
         compiled = self.compiled(request.benchmark)
         t_compiled = time.perf_counter()
-        cfg = self.config_for(request.backend, **dict(request.overrides))
+        cfg = self._config(request.backend, request.overrides)[0]
         factory = self.storage_factory(
             request.backend, compiled, request.osu_entries
         )

@@ -128,13 +128,25 @@ def validate_claims(
 
     # -- Figure 18: L1 bandwidth ------------------------------------------------------
     l1bw = ex.fig18_l1_bandwidth(runner, names)
-    mean_bw = sum(sum(r.values()) for r in l1bw.values()) / len(l1bw)
+    mean_staging = sum(
+        r["preloads"] + r["stores"] for r in l1bw.values()
+    ) / len(l1bw)
+    mean_inval = sum(r["invalidations"] for r in l1bw.values()) / len(l1bw)
     add(
         "Fig. 18",
-        "RegLess uses a tiny fraction of the 1-request/cycle L1 port",
+        "Preloads and stores use a tiny fraction of the 1-request/cycle "
+        "L1 port",
         "<0.02 req/cycle",
-        mean_bw,
-        mean_bw < 0.15,
+        mean_staging,
+        mean_staging < 0.02,
+    )
+    add(
+        "Fig. 18 (known deviation 4)",
+        "Invalidations stay a small fraction of the L1 port (our compiler "
+        "emits more than the paper's)",
+        "within the <0.02 total",
+        mean_inval,
+        mean_inval < 0.10,
     )
 
     # -- Figure 19 / Table 2: region structure ------------------------------------------

@@ -38,7 +38,8 @@ class ReglessConfig:
     #: anti-starvation: when some warp has waited this long for activation,
     #: the CM activates the longest-waiting warp instead of the stack top.
     activation_aging_cycles: int = 300
-    #: ablation: eviction priority free -> clean -> dirty (paper) vs random.
+    #: ablation: eviction priority free -> clean -> dirty (paper) vs free
+    #: -> dirty -> clean (``False``: a dirty line goes first when one exists).
     ordered_eviction: bool = True
 
     @property

@@ -12,7 +12,8 @@ Each bank tracks three classes of lines:
 * **dirty** — evictable, modified (write back to L1 before reuse).
 
 Allocation takes free space first, then clean lines, then dirty lines
-(paper's priority; the ``ordered_eviction`` ablation randomizes it).
+(paper's priority; the ``ordered_eviction=False`` ablation takes the
+oldest dirty line before any clean one whenever a dirty line exists).
 
 Per-bank preload queues implement the section 5.2.1 pipeline: tag check ->
 compressor bit-vector -> compressor cache or L1 fetch.  Evictions and cache

@@ -24,10 +24,14 @@ A job spec looks like::
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..harness.parallel import RunOutcome, RunRequest
 from ..harness.runner import BACKENDS
+from ..sim.config import GPUConfig
+from ..sim.scheduler import SCHEDULERS
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..harness.runner import RunResult
@@ -108,9 +112,42 @@ def request_from_wire(wire: Mapping[str, Any]) -> RunRequest:
         isinstance(k, str) for k in overrides
     ):
         raise SpecError("overrides must be an object with string keys")
+    _check_overrides(overrides)
     return RunRequest.make(
         benchmark, backend, osu_entries, tuple(window_series), **dict(overrides)
     )
+
+
+def _check_overrides(overrides: Mapping[str, Any]) -> None:
+    """Each override names a ``GPUConfig`` field and holds a JSON scalar
+    of its type.  A bad one would otherwise fail inside the executor,
+    where it burns worker attempts or breaks the whole batch, other
+    tenants' runs included; ranges are not checked."""
+    kinds = {f.name: type(f.default) for f in fields(GPUConfig)}
+    unknown = sorted(set(overrides) - set(kinds))
+    if unknown:
+        raise SpecError(f"unknown override field(s): {unknown}")
+    for name, value in overrides.items():
+        kind = kinds[name]
+        number = isinstance(value, (int, float)) \
+            and not isinstance(value, bool)
+        if kind is bool:
+            ok = isinstance(value, bool)
+        elif kind is int:
+            ok = number and isinstance(value, int)
+        elif kind is float:
+            ok = number and math.isfinite(value)
+        else:
+            ok = isinstance(value, kind)
+        if not ok:
+            raise SpecError(
+                f"override {name!r} must be {kind.__name__}, got {value!r}"
+            )
+    if "scheduler" in overrides and overrides["scheduler"] not in SCHEDULERS:
+        raise SpecError(
+            f"unknown scheduler {overrides['scheduler']!r} "
+            f"(expected one of {list(SCHEDULERS)})"
+        )
 
 
 def parse_job_spec(
@@ -144,12 +181,15 @@ def parse_job_spec(
     if not isinstance(tags, Mapping):
         raise SpecError("tags must be an object")
     deadline_s = body.get("deadline_s")
+    # json.loads reads the NaN and Infinity literals: NaN would expire the
+    # job at once, and Infinity is not valid JSON in its journal record.
     if deadline_s is not None and (
         not isinstance(deadline_s, (int, float))
-        or isinstance(deadline_s, bool) or deadline_s <= 0
+        or isinstance(deadline_s, bool)
+        or not 0 < deadline_s < float("inf")
     ):
         raise SpecError(
-            f"deadline_s must be a positive number, got {deadline_s!r}"
+            f"deadline_s must be a positive finite number, got {deadline_s!r}"
         )
     return requests, priority, dict(tags), deadline_s
 

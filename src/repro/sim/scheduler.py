@@ -45,6 +45,7 @@ __all__ = [
     "GTOScheduler",
     "LRRScheduler",
     "TwoLevelScheduler",
+    "SCHEDULERS",
     "make_scheduler",
 ]
 
@@ -473,6 +474,10 @@ class TwoLevelScheduler(WarpScheduler):
         return list(self._active)
 
 
+#: every ``GPUConfig.scheduler`` value :func:`make_scheduler` accepts.
+SCHEDULERS = ("gto", "lrr", "two_level")
+
+
 def make_scheduler(kind: str, warps: List[Warp], two_level_active: int = 8) -> WarpScheduler:
     if kind == "gto":
         return GTOScheduler(warps)
@@ -480,4 +485,6 @@ def make_scheduler(kind: str, warps: List[Warp], two_level_active: int = 8) -> W
         return LRRScheduler(warps)
     if kind == "two_level":
         return TwoLevelScheduler(warps, two_level_active)
-    raise ValueError(f"unknown scheduler {kind!r}")
+    raise ValueError(
+        f"unknown scheduler {kind!r} (expected one of {list(SCHEDULERS)})"
+    )

@@ -4,19 +4,47 @@ import multiprocessing
 import os
 import pickle
 import shutil
+from collections import Counter
 from dataclasses import fields, replace
+
+import pytest
 
 import repro
 from repro.energy.model import EnergyParams
 from repro.harness import (ResultCache, RunOutcome, RunRequest, SuiteRunner,
                            run_digest)
 from repro.harness import cache as cache_module
-from repro.harness.runner import BACKENDS
+from repro.harness.runner import BACKENDS, RunResult
 from repro.sim import GPUConfig
-from repro.workloads import Workload, workload_names
+from repro.workloads import Workload, make_workload, workload_names
 
 
 SMALL = dict(warps_per_sm=8, schedulers_per_sm=2, cta_size_warps=4)
+#: the small configuration of the 21 x 5 re-render grid (perfbench's
+#: ``grid-warm`` cells), given as overrides on the default config.
+GRID_SMALL = dict(warps_per_sm=16, schedulers_per_sm=2, cta_size_warps=8)
+GRID_BACKENDS = BACKENDS + ("regless-nc",)
+
+
+def grid(**overrides):
+    return [RunRequest.make(name, backend, **overrides)
+            for name in workload_names() for backend in GRID_BACKENDS]
+
+
+def fresh_digest(request):
+    """``run_digest`` over a config, energy parameters and workload built
+    here from scratch, sharing no object with any runner."""
+    two_level = {"scheduler": "two_level"} \
+        if request.backend in ("rfh", "rfv") else {}
+    return run_digest(
+        config=GPUConfig(**two_level, **dict(request.overrides)),
+        backend=request.backend,
+        osu_entries=request.osu_entries,
+        workload_name=request.benchmark,
+        workload_seed=make_workload(request.benchmark).seed,
+        energy_params=EnergyParams(),
+        window_series=request.window_series,
+    )
 
 
 def make_runner(cache_dir):
@@ -209,6 +237,64 @@ class TestDigest:
 
     def test_kernel_bytes_are_not_hashed(self):
         assert self.digest() == self.digest(kernel_bytes=b"any kernel")
+
+    def test_key_format_is_pinned(self):
+        """Schema-4 keys of one default-config and one small-config run.
+        Every stored entry is addressed by this format, so a change to
+        either hex re-keys (and so orphans) the whole store."""
+        assert run_digest(
+            GPUConfig(), "regless", 512, "bfs", 1, EnergyParams(), (),
+            salt="fixed-salt",
+        ) == "9b59f3faee64f7b2fa9b27f87d6cad4bb67a18c627fd170bb72ef56f6fadf9b1"
+        assert run_digest(
+            GPUConfig(**SMALL, scheduler="two_level"), "rfh", 256, "nw", 1,
+            EnergyParams(), ("l1_access",), salt="fixed-salt",
+        ) == "9817a03b899418b1f73b7066acc1fe019eab25a54732d6ca9164084e91b50561"
+
+    @pytest.mark.parametrize("overrides", [{}, GRID_SMALL],
+                             ids=["default", "small"])
+    def test_runner_digest_equals_run_digest(self, overrides):
+        """The runner keeps one config and key text per configuration;
+        every cell's key still equals ``run_digest`` over objects built
+        from scratch."""
+        runner = SuiteRunner(cache=False)
+        requests = grid(**overrides)
+        assert [runner._digest(r) for r in requests] == \
+            [fresh_digest(r) for r in requests]
+
+    def test_warm_pass_builds_each_config_once(self, tmp_path, monkeypatch):
+        """A fresh runner re-reading the filled 21 x 5 small-config grid
+        builds each of its 5 configurations, and their key texts and the
+        energy parameters' text, once: not once per cell."""
+        requests = grid(**GRID_SMALL)
+        store = ResultCache(str(tmp_path))
+        for r in requests:
+            store.put(fresh_digest(r), RunResult(
+                r.benchmark, r.backend, r.osu_entries, stats=None,
+                energy=None))
+        built = Counter()
+        init = GPUConfig.__init__
+        field_items = cache_module._field_items
+
+        def counting_init(self, *args, **kwargs):
+            built["config"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_field_items(obj):
+            built["key text"] += 1
+            return field_items(obj)
+
+        monkeypatch.setattr(GPUConfig, "__init__", counting_init)
+        monkeypatch.setattr(cache_module, "_field_items",
+                            counting_field_items)
+        runner = SuiteRunner(cache=ResultCache(str(tmp_path)))
+        results = runner.run_grid(requests, jobs=1)
+        assert [r.backend for r in results] == [r.backend for r in requests]
+        assert (runner.cache.hits, runner.cache.misses) == (105, 0)
+        # the base config, then one (rfh, rfv: two) ``with_`` per backend
+        assert built["config"] <= 8
+        # five configurations and the energy parameters
+        assert built["key text"] <= 6
 
     def test_source_edit_changes_every_digest(self, tmp_path, monkeypatch):
         """The key holds no kernel bytes: a compiler or workload edit

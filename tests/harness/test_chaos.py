@@ -360,6 +360,7 @@ class TestCLIResilience:
 
     @pytest.mark.parametrize("flags", [
         ["--timeout", "0"], ["--timeout", "-1"], ["--retries", "-1"],
+        ["--deadline", "0"], ["--deadline", "-5"], ["--deadline", "nan"],
     ])
     def test_contradictory_flags_rejected(self, flags, capsys):
         from repro.harness import cli

@@ -202,6 +202,31 @@ class TestHTTPContract:
 
         serve_inprocess(engine, body)
 
+    def test_malformed_overrides_are_refused_at_admission(self):
+        """A job whose override names no ``GPUConfig`` field is a 400.
+        Admitted, it would break its whole batch in the executor, and
+        three such jobs would open the breaker on every tenant."""
+        runner = SuiteRunner(config=GPUConfig(**SMALL), cache=False)
+        engine = ServiceEngine(ServiceConfig(jobs=1), runner=runner)
+        bogus = {"benchmark": "bfs", "backend": "baseline",
+                 "overrides": {"bogus": 1}}
+
+        async def body(app, client):
+            for _ in range(3):
+                with pytest.raises(ServiceError) as err:
+                    await call(client.submit, [bogus])
+                assert err.value.status == 400
+            other = ServiceClient(client.host, client.port, tenant="other")
+            job = await call(other.submit,
+                             [{"benchmark": "bfs", "backend": "baseline"}])
+            health = await call(client.health)
+            result = await call(other.wait, job["id"])
+            return health, result
+
+        health, result = serve_inprocess(engine, body)
+        assert health["breaker"] == "closed"
+        assert result["job"]["status"] == "done"
+
     @staticmethod
     def raw_get(client, path):
         conn = http.client.HTTPConnection(client.host, client.port, timeout=30)

@@ -52,6 +52,31 @@ class TestRequestValidation:
     def test_rejects_bad_overrides(self):
         self.reject({"benchmark": "bfs", "backend": "baseline",
                      "overrides": [("a", 1)]}, "overrides")
+        for overrides, match in (
+            ({"bogus": 1}, "unknown override field"),
+            ({"warps_per_sm": [16]}, "'warps_per_sm' must be int"),
+            ({"warps_per_sm": "16"}, "'warps_per_sm' must be int"),
+            ({"warps_per_sm": 16.0}, "'warps_per_sm' must be int"),
+            ({"warps_per_sm": True}, "'warps_per_sm' must be int"),
+            ({"warps_per_sm": None}, "'warps_per_sm' must be int"),
+            ({"icnt_per_sm": float("nan")}, "'icnt_per_sm' must be float"),
+            ({"icnt_per_sm": float("inf")}, "'icnt_per_sm' must be float"),
+            ({"icnt_per_sm": False}, "'icnt_per_sm' must be float"),
+            ({"icnt_per_sm": "1.0"}, "'icnt_per_sm' must be float"),
+            ({"fast_forward": 1}, "'fast_forward' must be bool"),
+            ({"scheduler": 1}, "'scheduler' must be str"),
+            ({"scheduler": "nope"}, "unknown scheduler"),
+        ):
+            self.reject({"benchmark": "bfs", "backend": "baseline",
+                         "overrides": overrides}, match)
+
+    def test_accepts_typed_overrides(self):
+        overrides = {"warps_per_sm": 16, "icnt_per_sm": 2,
+                     "dram_lines_per_cycle": 1.5, "fast_forward": False,
+                     "scheduler": "two_level"}
+        req = request_from_wire({"benchmark": "bfs", "backend": "baseline",
+                                 "overrides": overrides})
+        assert dict(req.overrides) == overrides
 
 
 class TestJobSpec:
@@ -79,7 +104,7 @@ class TestJobSpec:
         assert deadline_s == 2.5
 
     def test_rejects_bad_deadline(self):
-        for bad in (0, -1, "60", True):
+        for bad in (0, -1, "60", True, float("nan"), float("inf")):
             with pytest.raises(SpecError, match="deadline_s"):
                 parse_job_spec({"runs": [self.RUN], "deadline_s": bad})
 

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.sim import GTOScheduler, LRRScheduler, TwoLevelScheduler, Warp, make_scheduler
+from repro.sim.scheduler import SCHEDULERS
 
 
 def warps(n):
@@ -118,3 +119,11 @@ class TestFactory:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_scheduler("fifo", warps(2))
+
+    def test_listed_kinds_are_the_made_ones(self):
+        """The service rejects a ``scheduler`` override outside
+        ``SCHEDULERS`` at admission, so the list must be exactly the
+        kinds the factory makes."""
+        assert set(SCHEDULERS) == {"gto", "lrr", "two_level"}
+        for kind in SCHEDULERS:
+            make_scheduler(kind, warps(2))
