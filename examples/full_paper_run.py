@@ -14,33 +14,31 @@ result cache — a warm re-run of this script is near-instant.
 import sys
 import time
 
-from repro.harness import SuiteRunner, render_claims, validate_claims
-from repro.harness.cli import _RENDER, run_experiment
-from repro.harness.export import export_all
+from repro.harness import (EXPERIMENTS, SuiteRunner, export_all,
+                           render_claims, validate_claims)
 
 
 def main():
     out_path = sys.argv[1] if len(sys.argv) > 1 else "paper_report.txt"
-    runner = SuiteRunner()
     sections = []
     t0 = time.time()
+    with SuiteRunner() as runner:
+        print("prefetching the (benchmark x backend) run grid ...")
+        runner.prefetch(
+            backends=("baseline", "rfh", "rfv", "regless", "regless-nc")
+        )
+        print(f"[{time.time() - t0:7.1f}s] grid ready")
 
-    print("prefetching the (benchmark x backend) run grid ...")
-    runner.prefetch(
-        backends=("baseline", "rfh", "rfv", "regless", "regless-nc")
-    )
-    print(f"[{time.time() - t0:7.1f}s] grid ready")
+        for target in sorted(EXPERIMENTS):
+            print(f"[{time.time() - t0:7.1f}s] regenerating {target} ...")
+            sections.append(EXPERIMENTS[target].text(runner))
 
-    for target in sorted(_RENDER):
-        print(f"[{time.time() - t0:7.1f}s] regenerating {target} ...")
-        sections.append(run_experiment(target, runner))
+        print(f"[{time.time() - t0:7.1f}s] validating claims ...")
+        claims = validate_claims(runner)
+        sections.append(render_claims(claims))
 
-    print(f"[{time.time() - t0:7.1f}s] validating claims ...")
-    claims = validate_claims(runner)
-    sections.append(render_claims(claims))
-
-    print(f"[{time.time() - t0:7.1f}s] exporting CSVs ...")
-    paths = export_all("results", runner)
+        print(f"[{time.time() - t0:7.1f}s] exporting CSVs ...")
+        paths = export_all("results", runner)
 
     report = "\n\n".join(sections)
     with open(out_path, "w") as fh:

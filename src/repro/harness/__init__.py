@@ -1,7 +1,6 @@
 """Experiment harness: suite runner, per-figure experiments, reports."""
 
 from .experiments import (
-    EXPERIMENTS,
     fig2_working_set,
     fig3_backing_store,
     fig5_liveness_seams,
@@ -36,6 +35,7 @@ from .parallel import (
     run_requests_resilient,
 )
 from .runner import BACKENDS, RunResult, SuiteRunner
+from .report import EXPERIMENTS
 from .export import EXPORTABLE, export_all, rows_for, to_csv, to_json
 from .robustness import SeedStats, render_robustness, seed_robustness
 from .validate import Claim, render_claims, validate_claims

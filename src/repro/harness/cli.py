@@ -30,10 +30,10 @@ import os
 import sys
 from typing import List, Optional
 
-from . import experiments as ex
-from . import report
 from ..sim.watchdog import WatchdogConfig
-from .parallel import FaultPolicy, GridFailure
+from ..workloads import workload_names
+from .parallel import FaultPolicy, GridFailure, is_positive_finite
+from .report import EXPERIMENTS, render_stalls
 from .runner import BACKENDS, SuiteRunner
 from .export import export_all
 from .robustness import render_robustness, seed_robustness
@@ -41,42 +41,9 @@ from .validate import render_claims, validate_claims
 
 __all__ = ["main"]
 
-_RENDER = {
-    "fig2": (ex.fig2_working_set, report.render_fig2),
-    "fig3": (ex.fig3_backing_store, report.render_fig3),
-    "fig5": (ex.fig5_liveness_seams, report.render_fig5),
-    "fig11": (None, None),  # special-cased: no runner needed
-    "fig12": (ex.fig12_power, report.render_fig12),
-    "fig13": (ex.fig13_pareto, report.render_fig13),
-    "fig14": (ex.fig14_rf_energy, report.render_fig14),
-    "fig15": (ex.fig15_gpu_energy, report.render_fig15),
-    "fig16": (ex.fig16_runtime, report.render_fig16),
-    "fig17": (ex.fig17_preload_location, report.render_fig17),
-    "fig18": (ex.fig18_l1_bandwidth, report.render_fig18),
-    "fig19": (ex.fig19_region_registers, report.render_fig19),
-    "table2": (ex.table2_region_sizes, report.render_table2),
-    "breakdown": (ex.energy_breakdown, report.render_breakdown),
-}
-
-_NAMED = ("fig2", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-          "table2", "breakdown")
-
-
-def run_experiment(name: str, runner: SuiteRunner,
-                   names: Optional[List[str]] = None) -> str:
-    if name == "fig11":
-        return report.render_fig11(ex.fig11_area())
-    fn, render = _RENDER[name]
-    if name in _NAMED:
-        # Keyword, not positional: some experiments (fig13) take other
-        # parameters before ``names``.
-        return render(fn(runner, names=names))
-    return render(fn(runner))
-
-
-#: every verb ``python -m repro.harness`` accepts.
-VERBS = tuple(sorted(_RENDER)) + ("all", "validate", "seeds", "export",
-                                  "stalls", "trace", "serve")
+#: every verb the CLI accepts: the experiment ids, then the rest.
+VERBS = tuple(sorted(EXPERIMENTS)) + ("all", "validate", "seeds", "export",
+                                      "stalls", "trace", "serve")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -229,16 +196,22 @@ def main(argv: Optional[List[str]] = None) -> int:
              "half-open recovery probe (default 30)",
     )
     args = parser.parse_args(argv)
+    if args.names is None:
+        args.names = args.benchmarks or None
+    # A misspelt benchmark is a usage error (exit 2), not a failed run.
+    unknown = [n for n in args.names or () if n not in workload_names()]
+    if unknown:
+        parser.error(f"unknown benchmark(s): {', '.join(unknown)}")
     # A zero deadline would mean "none" to the retry loop but trip every
     # run in the watchdog, and an infinite one overflows the loop's wait;
     # reject both, and a negative retry budget, here.
-    if args.timeout is not None and not 0 < args.timeout < float("inf"):
+    if args.timeout is not None and not is_positive_finite(args.timeout):
         parser.error("--timeout must be a positive number of seconds")
     if args.retries is not None and args.retries < 0:
         parser.error("--retries must be 0 or more")
     # A job deadline of 0 would silently mean "none", and a negative or
     # NaN one expires every job at the first sweep.
-    if args.deadline is not None and not 0 < args.deadline < float("inf"):
+    if args.deadline is not None and not is_positive_finite(args.deadline):
         parser.error("--deadline must be a positive number of seconds")
 
     if args.profile:
@@ -257,7 +230,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    names = args.names if args.names is not None else (args.benchmarks or None)
     policy = None
     watchdog = None
     if args.timeout is not None or args.retries is not None:
@@ -275,7 +247,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         policy=policy, watchdog=watchdog,
     )
     try:
-        return _dispatch_runner(args, runner, names)
+        return _dispatch_runner(args, runner, args.names)
     except GridFailure as failure:
         print(f"error: {failure}", file=sys.stderr)
         for outcome in failure.failed:
@@ -302,27 +274,28 @@ def _dispatch_runner(args: argparse.Namespace, runner: SuiteRunner,
         data: dict = {}
         for res in results:
             data.setdefault(res.benchmark, {})[res.backend] = res.stats.stalls
-        print(report.render_stalls(data))
+        print(render_stalls(data))
         return 0
     if args.experiment == "trace":
         return _trace(runner, names or ["bfs"], args.backend or "regless",
                       args.out, args.perfetto)
     if args.experiment == "validate":
-        claims = validate_claims(runner, args.names)
+        claims = validate_claims(runner, names)
         print(render_claims(claims))
         return 0 if all(c.ok for c in claims) else 1
     if args.experiment == "seeds":
-        kwargs = {"names": args.names} if args.names else {}
+        kwargs = {"names": names} if names else {}
         print(render_robustness(seed_robustness(**kwargs)))
         return 0
     if args.experiment == "export":
-        paths = export_all(args.out, runner, args.names, fmt=args.format)
+        paths = export_all(args.out, runner, names, fmt=args.format)
         for path in paths:
             print(f"wrote {path}")
         return 0
-    targets = sorted(_RENDER) if args.experiment == "all" else [args.experiment]
+    targets = (sorted(EXPERIMENTS) if args.experiment == "all"
+               else [args.experiment])
     for target in targets:
-        print(run_experiment(target, runner, names))
+        print(EXPERIMENTS[target].text(runner, names))
         print()
     return 0
 

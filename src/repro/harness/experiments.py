@@ -1,8 +1,9 @@
 """One function per evaluation table/figure of the paper.
 
 Every function takes a :class:`~repro.harness.runner.SuiteRunner` (runs are
-memoized across experiments) and returns plain data structures; rendering
-lives in :mod:`repro.harness.report`.  The experiment ids match the paper:
+memoized across experiments) and returns plain data structures; rendering,
+export rows and the table of experiments (``EXPERIMENTS``) live in
+:mod:`repro.harness.report`.  The experiment ids match the paper:
 
 ======== ==========================================================
 fig2     register working set per 100-cycle window, GTO vs 2-level
@@ -48,7 +49,6 @@ __all__ = [
     "table2_region_sizes",
     "energy_breakdown",
     "geomean",
-    "EXPERIMENTS",
 ]
 
 
@@ -414,20 +414,3 @@ def energy_breakdown(
         result[backend] = {k: v / len(names) for k, v in acc.items()}
     return result
 
-
-#: registry used by the CLI.
-EXPERIMENTS = {
-    "fig2": fig2_working_set,
-    "fig3": fig3_backing_store,
-    "fig5": fig5_liveness_seams,
-    "fig12": fig12_power,
-    "fig13": fig13_pareto,
-    "fig14": fig14_rf_energy,
-    "fig15": fig15_gpu_energy,
-    "fig16": fig16_runtime,
-    "fig17": fig17_preload_location,
-    "fig18": fig18_l1_bandwidth,
-    "fig19": fig19_region_registers,
-    "table2": table2_region_sizes,
-    "breakdown": energy_breakdown,
-}

@@ -12,94 +12,24 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
-from . import experiments as ex
+from .report import EXPERIMENTS, Row
 from .runner import SuiteRunner
 
 __all__ = ["rows_for", "to_csv", "to_json", "export_all", "EXPORTABLE"]
 
-Row = Dict[str, Union[str, float, int]]
-
-
-def _per_benchmark_rows(data: Mapping[str, Mapping[str, float]]) -> List[Row]:
-    rows: List[Row] = []
-    for benchmark, series in data.items():
-        row: Row = {"benchmark": benchmark}
-        row.update(series)
-        rows.append(row)
-    return rows
+#: the experiments :func:`export_all` writes, in table order.
+EXPORTABLE = tuple(e for e, entry in EXPERIMENTS.items() if entry.rows)
 
 
 def rows_for(experiment: str, runner: SuiteRunner,
              names: Optional[Sequence[str]] = None) -> List[Row]:
     """Flatten one experiment into a list of dict rows."""
-    if experiment == "fig2":
-        return [
-            {"benchmark": n, "gto_kb": g, "two_level_kb": t}
-            for n, (g, t) in ex.fig2_working_set(runner, names).items()
-        ]
-    if experiment == "fig3":
-        series = ex.fig3_backing_store(runner)
-        return [
-            {"window": i, "baseline": b, "rfh": h, "regless": r}
-            for i, (b, h, r) in enumerate(
-                zip(series.baseline, series.rfh, series.regless)
-            )
-        ]
-    if experiment == "fig5":
-        return [
-            {"pc": pc, "live": n}
-            for pc, n in enumerate(ex.fig5_liveness_seams(runner))
-        ]
-    if experiment == "fig11":
-        return [
-            {"capacity": cap, **values}
-            for cap, values in ex.fig11_area().items()
-        ]
-    if experiment == "fig12":
-        return [
-            {"capacity": cap, **values}
-            for cap, values in ex.fig12_power(runner).items()
-        ]
-    if experiment == "fig13":
-        return [
-            {"capacity": cap, "runtime": rt, "gpu_energy": en}
-            for cap, (rt, en) in ex.fig13_pareto(runner, names=names).items()
-        ]
-    if experiment == "fig14":
-        return _per_benchmark_rows(ex.fig14_rf_energy(runner, names))
-    if experiment == "fig15":
-        return _per_benchmark_rows(ex.fig15_gpu_energy(runner, names))
-    if experiment == "fig16":
-        result = ex.fig16_runtime(runner, names)
-        rows = [
-            {"benchmark": n, "regless_runtime": v}
-            for n, v in result.per_benchmark.items()
-        ]
-        rows.append({
-            "benchmark": "GEOMEAN",
-            "regless_runtime": result.geomean_regless,
-            "no_compressor": result.geomean_no_compressor,
-            "rfv": result.geomean_rfv,
-            "rfh": result.geomean_rfh,
-        })
-        return rows
-    if experiment == "fig17":
-        return _per_benchmark_rows(ex.fig17_preload_location(runner, names))
-    if experiment == "fig18":
-        return _per_benchmark_rows(ex.fig18_l1_bandwidth(runner, names))
-    if experiment == "fig19":
-        return _per_benchmark_rows(ex.fig19_region_registers(runner, names))
-    if experiment == "table2":
-        return _per_benchmark_rows(ex.table2_region_sizes(runner, names))
-    raise ValueError(f"unknown experiment {experiment!r}")
-
-
-EXPORTABLE = (
-    "fig2", "fig3", "fig5", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "fig16", "fig17", "fig18", "fig19", "table2",
-)
+    entry = EXPERIMENTS.get(experiment)
+    if entry is None or entry.rows is None:
+        raise ValueError(f"unknown or unexported experiment {experiment!r}")
+    return entry.rows(entry.compute(runner, names))
 
 
 def to_csv(rows: List[Row]) -> str:
@@ -132,10 +62,13 @@ def export_all(
 
     Each experiment prefetches its run grid through
     :meth:`SuiteRunner.run_grid`, so a fresh export parallelizes across
-    ``jobs`` workers (default: ``REPRO_JOBS`` / CPU count)."""
+    ``jobs`` workers (default: ``REPRO_JOBS`` / CPU count).  Without a
+    ``runner`` it builds one and closes its workers before returning."""
     import os
 
-    runner = runner or SuiteRunner(jobs=jobs)
+    if runner is None:
+        with SuiteRunner(jobs=jobs) as runner:
+            return export_all(out_dir, runner, names, fmt)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for experiment in EXPORTABLE:

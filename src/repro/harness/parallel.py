@@ -103,6 +103,7 @@ __all__ = [
     "RunOutcome",
     "RunRequest",
     "WorkerPool",
+    "is_positive_finite",
     "resolve_jobs",
     "run_requests_resilient",
 ]
@@ -244,6 +245,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def is_positive_finite(value: Any) -> bool:
+    """True for a real number in (0, inf).  Timeouts and deadlines must be:
+    0 reads as "none" in some places and "at once" in others, a negative
+    or NaN one trips at once, and infinity overflows a wait."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < float("inf"))
 
 
 # -- worker side ------------------------------------------------------------

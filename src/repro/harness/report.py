@@ -1,13 +1,19 @@
-"""Text rendering of experiment results (the rows the paper's plots show)."""
+"""Text rendering of experiment results (the rows the paper's plots show),
+and :data:`EXPERIMENTS`, the table every figure verb, ``all`` and ``export``
+read."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ..obs.stalls import ISSUED, STALL_REASONS
-from .experiments import BackingStoreSeries, RuntimeResult
+from . import experiments as ex
+from .runner import SuiteRunner
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "render_stalls",
     "render_fig2",
     "render_fig3",
@@ -72,7 +78,7 @@ def render_fig2(data: Dict[str, Tuple[float, float]]) -> str:
     )
 
 
-def render_fig3(series: BackingStoreSeries, points: int = 20) -> str:
+def render_fig3(series: ex.BackingStoreSeries, points: int = 20) -> str:
     def head(xs):
         return " ".join(f"{x:5.0f}" for x in xs[:points])
     return (
@@ -155,7 +161,7 @@ def render_fig15(data: Dict[str, Dict[str, float]]) -> str:
     )
 
 
-def render_fig16(result: RuntimeResult) -> str:
+def render_fig16(result: ex.RuntimeResult) -> str:
     rows = [(n, f"{v:.3f}") for n, v in result.per_benchmark.items()]
     rows.append(("GEOMEAN", f"{result.geomean_regless:.3f}"))
     table = _table(("benchmark", "regless/baseline"), rows)
@@ -210,3 +216,93 @@ def render_table2(data: Dict[str, Dict[str, float]]) -> str:
         "Table 2: static instructions and dynamic cycles per region",
         fmt="{:.1f}",
     )
+
+
+#: one flattened result row of ``export`` (a CSV line, a JSON object).
+Row = Dict[str, Union[str, float, int]]
+
+
+class Experiment(NamedTuple):
+    """One table or figure: ``compute(runner, names)`` gives its result
+    (``names`` is the benchmark subset, ``None`` for all 21; experiments
+    on one kernel ignore it), ``render`` its text and ``rows`` its export
+    rows (``None``: not exported)."""
+
+    compute: Callable[[SuiteRunner, Optional[Sequence[str]]], Any]
+    render: Callable[[Any], str]
+    rows: Optional[Callable[[Any], List[Row]]] = None
+
+    def text(self, runner: SuiteRunner,
+             names: Optional[Sequence[str]] = None) -> str:
+        return self.render(self.compute(runner, names))
+
+
+def _by_benchmark(data: Dict[str, Dict[str, float]]) -> List[Row]:
+    return [{"benchmark": name, **series} for name, series in data.items()]
+
+
+def _by_capacity(data: Dict[int, Dict[str, float]]) -> List[Row]:
+    return [{"capacity": cap, **values} for cap, values in data.items()]
+
+
+def _fig3_rows(series: ex.BackingStoreSeries) -> List[Row]:
+    return [
+        {"window": i, "baseline": b, "rfh": h, "regless": r}
+        for i, (b, h, r) in enumerate(
+            zip(series.baseline, series.rfh, series.regless)
+        )
+    ]
+
+
+def _fig16_rows(result: ex.RuntimeResult) -> List[Row]:
+    rows: List[Row] = [
+        {"benchmark": n, "regless_runtime": v}
+        for n, v in result.per_benchmark.items()
+    ]
+    rows.append({
+        "benchmark": "GEOMEAN",
+        "regless_runtime": result.geomean_regless,
+        "no_compressor": result.geomean_no_compressor,
+        "rfv": result.geomean_rfv,
+        "rfh": result.geomean_rfh,
+    })
+    return rows
+
+
+#: experiment id -> :class:`Experiment`; each id is a CLI verb, ``all``
+#: prints them in sorted order, and ``export`` writes each one with rows
+#: in this order.  A new figure is one entry here.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig2": Experiment(
+        ex.fig2_working_set, render_fig2,
+        lambda data: [{"benchmark": n, "gto_kb": g, "two_level_kb": t}
+                      for n, (g, t) in data.items()],
+    ),
+    "fig3": Experiment(lambda runner, names: ex.fig3_backing_store(runner),
+                       render_fig3, _fig3_rows),
+    "fig5": Experiment(
+        lambda runner, names: ex.fig5_liveness_seams(runner), render_fig5,
+        lambda counts: [{"pc": pc, "live": n} for pc, n in enumerate(counts)],
+    ),
+    "fig11": Experiment(lambda runner, names: ex.fig11_area(),
+                        render_fig11, _by_capacity),
+    "fig12": Experiment(lambda runner, names: ex.fig12_power(runner),
+                        render_fig12, _by_capacity),
+    "fig13": Experiment(
+        lambda runner, names: ex.fig13_pareto(runner, names=names),
+        render_fig13,
+        lambda data: [{"capacity": cap, "runtime": rt, "gpu_energy": en}
+                      for cap, (rt, en) in data.items()],
+    ),
+    "fig14": Experiment(ex.fig14_rf_energy, render_fig14, _by_benchmark),
+    "fig15": Experiment(ex.fig15_gpu_energy, render_fig15, _by_benchmark),
+    "fig16": Experiment(ex.fig16_runtime, render_fig16, _fig16_rows),
+    "fig17": Experiment(ex.fig17_preload_location, render_fig17,
+                        _by_benchmark),
+    "fig18": Experiment(ex.fig18_l1_bandwidth, render_fig18, _by_benchmark),
+    "fig19": Experiment(ex.fig19_region_registers, render_fig19,
+                        _by_benchmark),
+    "table2": Experiment(ex.table2_region_sizes, render_table2,
+                         _by_benchmark),
+    "breakdown": Experiment(ex.energy_breakdown, render_breakdown),
+}

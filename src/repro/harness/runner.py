@@ -35,7 +35,7 @@ from ..regless import ReglessConfig, ReglessStorage
 from ..sim.config import GPUConfig
 from ..sim.gpu import SimStats, run_simulation
 from ..sim.watchdog import Watchdog, WatchdogConfig
-from ..workloads import Workload, make_workload, workload_names
+from ..workloads import RODINIA, Workload, make_workload, workload_names
 from .cache import ResultCache, cache_enabled, digest_from_text, key_text
 from .parallel import (
     FaultPolicy,
@@ -288,9 +288,13 @@ class SuiteRunner:
         return hit
 
     @staticmethod
-    def _check_backend(request: RunRequest) -> None:
+    def _check_request(request: RunRequest) -> None:
+        """Reject an unknown backend or benchmark before any lookup or
+        dispatch: run, it would fail every attempt of the retry loop."""
         if request.backend not in BACKENDS + ("regless-nc",):
             raise ValueError(f"unknown backend {request.backend!r}")
+        if request.benchmark not in RODINIA:
+            raise ValueError(f"unknown benchmark {request.benchmark!r}")
 
     # -- main entry points ----------------------------------------------------
 
@@ -305,7 +309,7 @@ class SuiteRunner:
         request = RunRequest.make(
             benchmark, backend, osu_entries, window_series, **config_overrides
         )
-        self._check_backend(request)
+        self._check_request(request)
         hit = self._lookup(request)
         if hit is not None:
             return hit
@@ -433,7 +437,7 @@ class SuiteRunner:
         """
         reqs = [self._normalize(r) for r in requests]
         for req in reqs:
-            self._check_backend(req)
+            self._check_request(req)
         deliver = on_outcome if on_outcome is not None else (lambda i, o: None)
         outcomes: List[Optional[RunOutcome]] = []
         #: executing request -> the indices waiting for its outcome

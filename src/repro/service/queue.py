@@ -66,7 +66,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..harness.faults import service_kill_point
-from ..harness.parallel import FaultPolicy, RunFeed, RunOutcome, RunRequest
+from ..harness.parallel import (FaultPolicy, RunFeed, RunOutcome, RunRequest,
+                                is_positive_finite)
 from ..harness.runner import SuiteRunner
 from ..obs.metrics import MetricsRegistry, bucket_125
 from ..sim.watchdog import WatchdogConfig
@@ -228,12 +229,23 @@ class _Batch:
     statuses: List[str] = field(default_factory=list)
 
 
+def _check_deadline(name: str, value: Optional[float]) -> None:
+    """Reject a deadline the sweeper or the journal would misread: 0
+    reads as "never", a negative or NaN one as "already overdue", and inf
+    is not JSON."""
+    if value is not None and not is_positive_finite(value):
+        raise ValueError(
+            f"{name} must be a positive finite number of seconds, "
+            f"got {value!r}")
+
+
 class ServiceEngine:
     """The daemon core: submit/track/stream jobs, drain, restart."""
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  runner: Optional[SuiteRunner] = None):
         self.config = config or ServiceConfig()
+        _check_deadline("default_deadline", self.config.default_deadline)
         self.runner = runner or SuiteRunner(
             config=self.config.config,
             cache=self.config.cache,
@@ -365,6 +377,7 @@ class ServiceEngine:
             raise DrainingError("service is draining; resubmit after restart")
         if priority not in Priority.NAMES:
             raise ValueError(f"unknown priority {priority!r}")
+        _check_deadline("deadline_s", deadline_s)
         self.supervisor.admit()  # raises BreakerOpen while shedding
         queued = len(self._work)
         if queued + len(requests) > self.config.max_queued_runs:

@@ -28,7 +28,7 @@ import math
 from dataclasses import fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..harness.parallel import RunOutcome, RunRequest
+from ..harness.parallel import RunOutcome, RunRequest, is_positive_finite
 from ..harness.runner import BACKENDS
 from ..sim.config import GPUConfig
 from ..sim.scheduler import SCHEDULERS
@@ -183,11 +183,7 @@ def parse_job_spec(
     deadline_s = body.get("deadline_s")
     # json.loads reads the NaN and Infinity literals: NaN would expire the
     # job at once, and Infinity is not valid JSON in its journal record.
-    if deadline_s is not None and (
-        not isinstance(deadline_s, (int, float))
-        or isinstance(deadline_s, bool)
-        or not 0 < deadline_s < float("inf")
-    ):
+    if deadline_s is not None and not is_positive_finite(deadline_s):
         raise SpecError(
             f"deadline_s must be a positive finite number, got {deadline_s!r}"
         )

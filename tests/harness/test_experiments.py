@@ -1,7 +1,12 @@
+import json
+
 import pytest
 
 from repro.harness import (
+    EXPERIMENTS,
+    EXPORTABLE,
     SuiteRunner,
+    export_all,
     fig2_working_set,
     fig3_backing_store,
     fig5_liveness_seams,
@@ -17,7 +22,7 @@ from repro.harness import (
     geomean,
     table2_region_sizes,
 )
-from repro.harness import report
+from repro.harness import cli, report
 from repro.sim import GPUConfig
 
 SUBSET = ["bfs", "streamcluster"]
@@ -136,6 +141,79 @@ class TestCLI:
         assert main(["fig11"]) == 0
         out = capsys.readouterr().out
         assert "Figure 11" in out
+
+    @pytest.mark.parametrize("verb, target", [
+        ("validate", "validate_claims"),
+        ("export", "export_all"),
+        ("seeds", "seed_robustness"),
+    ])
+    def test_positional_subset_reaches_every_verb(self, monkeypatch, verb,
+                                                  target):
+        calls = []
+        monkeypatch.setattr(cli, target,
+                            lambda *args, **kwargs: calls.append(
+                                [*args, *kwargs.values()]) or [])
+        monkeypatch.setattr(cli, "render_claims", lambda claims: "")
+        monkeypatch.setattr(cli, "render_robustness", lambda stats: "")
+        assert cli.main([verb, "bfs", "nw", "--no-cache"]) == 0
+        (call,) = calls
+        assert ["bfs", "nw"] in call
+
+    @pytest.mark.parametrize("argv", [
+        ["fig16", "nope"],
+        ["stalls", "--names", "bfs", "nope", "--no-cache", "--jobs", "1"],
+    ])
+    def test_unknown_benchmark_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unknown benchmark(s): nope" in capsys.readouterr().err
+
+
+class TestExperimentTable:
+    def test_every_entry_is_a_verb(self):
+        assert set(EXPERIMENTS) < set(cli.VERBS)
+        assert len(cli.VERBS) == 21
+
+    def test_all_prints_one_section_per_entry_in_sorted_order(
+            self, monkeypatch, capsys):
+        for eid, entry in EXPERIMENTS.items():
+            monkeypatch.setitem(EXPERIMENTS, eid, entry._replace(
+                compute=lambda runner, names, eid=eid: (eid, names),
+                render=lambda result: "SECTION %s %s" % result,
+            ))
+        assert cli.main(["all", "bfs", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert out.split("\n\n") == [
+            f"SECTION {eid} ['bfs']" for eid in sorted(EXPERIMENTS)] + [""]
+
+    def test_export_writes_one_file_per_exportable_entry(
+            self, monkeypatch, tmp_path):
+        for eid, entry in EXPERIMENTS.items():
+            monkeypatch.setitem(EXPERIMENTS, eid, entry._replace(
+                compute=lambda runner, names, eid=eid: eid,
+                rows=entry.rows and (lambda eid: [{"experiment": eid}]),
+            ))
+        paths = export_all(str(tmp_path), SuiteRunner(cache=False),
+                           fmt="json")
+        exportable = [e for e, entry in EXPERIMENTS.items() if entry.rows]
+        assert paths == [str(tmp_path / f"{e}.json") for e in exportable]
+        assert exportable == list(EXPORTABLE)
+        assert "breakdown" not in exportable
+        for eid, path in zip(exportable, paths):
+            assert json.loads(open(path).read()) == [{"experiment": eid}]
+
+    def test_export_closes_the_runner_it_builds(self, monkeypatch, tmp_path):
+        closed = []
+        monkeypatch.setattr(SuiteRunner, "close",
+                            lambda runner: closed.append(runner))
+        for eid, entry in EXPERIMENTS.items():
+            monkeypatch.setitem(EXPERIMENTS, eid, entry._replace(
+                compute=lambda runner, names: None,
+                rows=entry.rows and (lambda result: []),
+            ))
+        export_all(str(tmp_path))
+        assert len(closed) == 1
 
 
 class TestEnergyBreakdown:

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from repro.harness import SuiteRunner
+from repro.harness import ResultCache, SuiteRunner
 from repro.sim import GPUConfig
 
 
@@ -43,6 +45,20 @@ class TestBackends:
     def test_unknown_backend_rejected(self, runner):
         with pytest.raises(ValueError):
             runner.run("bfs", "magic")
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_unknown_benchmark_rejected_before_dispatch(self, tmp_path,
+                                                        cached):
+        # Dispatched, it would fail every attempt and wait out the retry
+        # backoff; with a store, the key would be a KeyError instead.
+        runner = SuiteRunner(
+            cache=ResultCache(root=str(tmp_path)) if cached else False)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="unknown benchmark 'nope'"):
+            runner.run_grid([("nope", "baseline")], jobs=1)
+        with pytest.raises(ValueError, match="unknown benchmark 'nope'"):
+            runner.run("nope", "baseline")
+        assert time.perf_counter() - t0 < 0.5
 
     def test_rfh_and_rfv_use_two_level(self, runner):
         assert runner.config_for("rfh").scheduler == "two_level"

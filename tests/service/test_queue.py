@@ -517,6 +517,30 @@ class TestDeadlines:
 
         run(main())
 
+    # -5 and NaN would expire a fresh job at the first sweep, 0 would
+    # silently mean "never", and inf is not JSON in the job's journal
+    # record.
+    BAD_DEADLINES = [-5.0, 0, 0.0, float("nan"), float("inf"), True]
+
+    @pytest.mark.parametrize("deadline", BAD_DEADLINES)
+    def test_bad_default_deadline_rejected(self, deadline):
+        with pytest.raises(ValueError, match="default_deadline"):
+            make_engine(default_deadline=deadline)
+
+    @pytest.mark.parametrize("deadline", BAD_DEADLINES)
+    def test_bad_submit_deadline_rejected(self, deadline):
+        async def main():
+            engine = make_engine(deadline_poll=3600.0)
+            await engine.start()
+            try:
+                with pytest.raises(ValueError, match="deadline_s"):
+                    engine.submit([BFS], deadline_s=deadline)
+                return dict(engine.jobs)
+            finally:
+                await engine.stop()
+
+        assert run(main()) == {}
+
 
 class TestBackpressureAndBreaker:
     def test_queue_bound_sheds_submissions(self):

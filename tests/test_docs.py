@@ -34,10 +34,10 @@ def test_relative_markdown_links_resolve(doc):
 
 
 def test_readme_mentions_every_experiment_verb():
-    from repro.harness.cli import _RENDER
+    from repro.harness import EXPERIMENTS
 
     readme = open("README.md").read()
-    for verb in _RENDER:
+    for verb in EXPERIMENTS:
         assert verb in readme, f"README does not document {verb}"
 
 
