@@ -22,7 +22,7 @@ from __future__ import annotations
 import gc
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -241,17 +241,35 @@ class SuiteRunner:
             return lambda sm, sh: ReglessStorage(compiled, rcfg)
         raise ValueError(f"unknown backend {backend!r}")
 
+    @staticmethod
+    def osu_entries_read(backend: str, osu_entries: int) -> int:
+        """The OSU capacity a run of ``backend`` reads: its own for the
+        RegLess backends, the default for the rest, whose storage
+        (:meth:`storage_factory`) and energy model have no OSU.  Memo
+        keys, cache keys and grid dedupe use it, so requests that differ
+        only in a capacity their backend never reads are one run."""
+        return osu_entries if backend in ("regless", "regless-nc") else 512
+
     # -- keys ------------------------------------------------------------------
 
-    @staticmethod
-    def _memo_key(request: RunRequest) -> Tuple:
+    @classmethod
+    def _memo_key(cls, request: RunRequest) -> Tuple:
         return (
             request.benchmark,
             request.backend,
-            request.osu_entries,
+            cls.osu_entries_read(request.backend, request.osu_entries),
             request.window_series,
             request.overrides,
         )
+
+    @staticmethod
+    def _relabel(result: RunResult, request: RunRequest) -> RunResult:
+        """``result`` named with ``request``'s capacity.  One run serves
+        every capacity its backend ignores, so the memo or cache may hold
+        it under another capacity than its caller asked for."""
+        if result.osu_entries == request.osu_entries:
+            return result
+        return replace(result, osu_entries=request.osu_entries)
 
     def _digest(self, request: RunRequest) -> str:
         """The run's cache key: its inputs only, so computing it builds
@@ -261,7 +279,7 @@ class SuiteRunner:
         return digest_from_text(
             self._config(request.backend, request.overrides)[1],
             request.backend,
-            request.osu_entries,
+            self.osu_entries_read(request.backend, request.osu_entries),
             request.benchmark,
             self.workload(request.benchmark).seed,
             self._energy_text,
@@ -276,7 +294,8 @@ class SuiteRunner:
         return result
 
     def _lookup(self, request: RunRequest) -> Optional[RunResult]:
-        """The memoized result, else the disk-cached one (then memoized)."""
+        """The memoized result, else the disk-cached one (then memoized),
+        named with ``request``'s capacity."""
         hit = self._runs.get(self._memo_key(request))
         if hit is None and self.cache is not None:
             digest = self._digest(request)
@@ -285,7 +304,7 @@ class SuiteRunner:
             if hit is not None:
                 hit.timings["cache_load"] = time.perf_counter() - t0
                 self._install(request, hit, store=False)
-        return hit
+        return None if hit is None else self._relabel(hit, request)
 
     @staticmethod
     def _check_request(request: RunRequest) -> None:
@@ -412,7 +431,9 @@ class SuiteRunner:
         exception for per-run failures.
 
         Memo/cache hits come back as ``ok`` outcomes with zero attempts;
-        identical misses run once.  Every miss goes through
+        misses that differ at most in a capacity their backend never reads
+        (:meth:`osu_entries_read`) run once, and each outcome names its own
+        request.  Every miss goes through
         :func:`~repro.harness.parallel.run_requests_resilient` under the
         runner's fault policy (retries, backoff, quarantine) and watchdog
         config.  With one effective worker, or a single miss, and no
@@ -440,12 +461,14 @@ class SuiteRunner:
             self._check_request(req)
         deliver = on_outcome if on_outcome is not None else (lambda i, o: None)
         outcomes: List[Optional[RunOutcome]] = []
-        #: executing request -> the indices waiting for its outcome
-        awaiting: Dict[RunRequest, List[int]] = {}
+        #: executing run's memo key -> the (index, request) pairs waiting
+        #: for its outcome
+        awaiting: Dict[Tuple, List[Tuple[int, RunRequest]]] = {}
 
         def admit(req: RunRequest) -> bool:
             """Number ``req``; settle it from the memo or cache, or attach
-            it to an identical pending run.  True iff it must execute."""
+            it to a pending run of the same key.  True iff it must
+            execute."""
             i = len(outcomes)
             outcomes.append(None)
             hit = self._lookup(req)
@@ -453,16 +476,27 @@ class SuiteRunner:
                 outcomes[i] = RunOutcome(req, RunOutcome.OK, hit)
                 deliver(i, outcomes[i])
                 return False
-            first = req not in awaiting
-            awaiting.setdefault(req, []).append(i)
+            key = self._memo_key(req)
+            first = key not in awaiting
+            awaiting.setdefault(key, []).append((i, req))
             return first
 
         def resolve(out: RunOutcome) -> None:
             if out.ok and out.result is not None:
                 self._install(out.request, out.result)
-            for i in awaiting.pop(out.request):
-                outcomes[i] = out
-                deliver(i, out)
+            # one outcome per distinct request, so identical requests
+            # share it (and its result object)
+            named = {out.request: out}
+            for i, req in awaiting.pop(self._memo_key(out.request)):
+                if req not in named:
+                    result = out.result
+                    named[req] = replace(
+                        out, request=req,
+                        result=None if result is None
+                        else self._relabel(result, req),
+                    )
+                outcomes[i] = named[req]
+                deliver(i, outcomes[i])
 
         misses = [req for req in reqs if admit(req)]
         jobs_n = resolve_jobs(jobs if jobs is not None else self.jobs)

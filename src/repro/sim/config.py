@@ -50,8 +50,9 @@ class GPUConfig:
     # -- simulation control ---------------------------------------------------------
     max_cycles: int = 400_000
     #: per-cycle stall attribution (repro.obs.stalls): bin every non-issued
-    #: warp-cycle into one reason.  Costs a few percent of simulation time;
-    #: disable for raw-throughput sweeps.
+    #: warp-cycle into one reason.  Costs 27-29 % of simulation time on
+    #: the default-config grid (docs/performance.md, "Simulator cost
+    #: baselines"); disable for raw-throughput sweeps.
     stall_attribution: bool = True
     #: skip dead cycles straight to the next event (results are identical;
     #: disable only to measure the optimization itself).

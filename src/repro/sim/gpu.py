@@ -3,8 +3,10 @@
 :class:`GPU` ties together the compiled kernel, the workload oracles, the
 SMs and the L2/DRAM model, then runs cycle-by-cycle until every warp exits.
 A fast-forward optimization skips dead cycles (nothing issuable, no
-background work) straight to the next scheduled event, which speeds up
-memory-latency-bound phases dramatically without changing results.
+background work) straight to the next scheduled event without changing
+results.  Few cycles are dead: on the default-config grid it skips 9 %
+of them, about half on gaussian and 0-8 % on the other kernels
+(docs/performance.md, "Simulator cost baselines").
 """
 
 from __future__ import annotations

@@ -1,16 +1,18 @@
+import dataclasses
 import time
 
 import pytest
 
-from repro.harness import ResultCache, SuiteRunner
-from repro.sim import GPUConfig
+from repro.harness import ResultCache, RunRequest, SuiteRunner
+from repro.sim import GPUConfig, SimStats
+
+SMALL = dict(warps_per_sm=8, schedulers_per_sm=2, cta_size_warps=4)
 
 
 @pytest.fixture(scope="module")
 def runner():
     # Small configuration keeps the whole module fast.
-    return SuiteRunner(config=GPUConfig(warps_per_sm=8, schedulers_per_sm=2,
-                                        cta_size_warps=4))
+    return SuiteRunner(config=GPUConfig(**SMALL))
 
 
 class TestMemoization:
@@ -81,3 +83,60 @@ class TestEnergyAccounting:
         base = runner.run("bfs", "baseline")
         rl = runner.run("bfs", "regless")
         assert rl.rf_energy < base.rf_energy
+
+
+class TestUnreadCapacity:
+    """Only the RegLess backends read the OSU capacity, so the runner
+    keys every other backend's runs at the default one."""
+
+    @staticmethod
+    def fresh_run(backend, osu_entries):
+        with SuiteRunner(cache=False, config=GPUConfig(**SMALL)) as runner:
+            return runner.run("nw", backend, osu_entries=osu_entries)
+
+    @pytest.mark.parametrize("backend", ["baseline", "rfh", "rfv"])
+    def test_non_osu_backends_ignore_the_capacity(self, backend):
+        # The premise of the key: if a backend without an OSU starts
+        # reading the capacity, the runner would serve it a wrong result.
+        default = self.fresh_run(backend, 512)
+        big = self.fresh_run(backend, 1024)
+        for f in dataclasses.fields(SimStats):
+            assert getattr(big.stats, f.name) == \
+                getattr(default.stats, f.name), f.name
+        assert big.energy == default.energy
+
+    def test_regless_reads_the_capacity(self):
+        assert self.fresh_run("regless", 1024).energy != \
+            self.fresh_run("regless", 512).energy
+
+    def test_store_serves_an_unread_capacity(self, tmp_path, monkeypatch):
+        store = str(tmp_path / "cache")
+        with SuiteRunner(cache=ResultCache(store),
+                         config=GPUConfig(**SMALL)) as filler:
+            filler.run("bfs", "baseline", osu_entries=512)
+
+        def no_execute(self, request):
+            raise AssertionError(f"executed {request}")
+
+        monkeypatch.setattr(SuiteRunner, "execute", no_execute)
+        runner = SuiteRunner(cache=ResultCache(store),
+                             config=GPUConfig(**SMALL))
+        served = runner.run("bfs", "baseline", osu_entries=1024)
+        assert served.osu_entries == 1024
+        assert runner.cache.hits == 1
+        with pytest.raises(AssertionError, match="executed"):
+            runner.run("bfs", "regless", osu_entries=1024)
+
+    def test_grid_runs_an_unread_capacity_once(self):
+        requests = [RunRequest.make("bfs", "baseline", 512),
+                    RunRequest.make("bfs", "baseline", 1024),
+                    RunRequest.make("bfs", "baseline", 512)]
+        with SuiteRunner(cache=False, config=GPUConfig(**SMALL)) as runner:
+            outcomes = runner.run_grid_outcomes(requests, jobs=2)
+            assert runner.metrics.as_dict()["harness.grid.ok"] == 1
+        for request, outcome in zip(requests, outcomes):
+            assert outcome.ok
+            assert outcome.request == request
+            assert outcome.result.osu_entries == request.osu_entries
+        assert outcomes[2].result is outcomes[0].result
+        assert outcomes[1].result.stats is outcomes[0].result.stats

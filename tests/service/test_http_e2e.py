@@ -101,6 +101,33 @@ class TestGoldenIdentity:
                 assert stats[key] == want[key], f"bfs/{backend} {key}"
 
 
+class TestUnreadCapacity:
+    def test_capacity_sweep_of_non_osu_backends_runs_once_each(self):
+        """Only the RegLess backends read the OSU capacity: a sweep over
+        it executes each other backend once, and every run still echoes
+        the capacity it asked for."""
+        runner = SuiteRunner(config=GPUConfig(**SMALL), cache=False)
+        engine = ServiceEngine(ServiceConfig(jobs=2), runner=runner)
+        runs = [{"benchmark": "bfs", "backend": b, "osu_entries": n}
+                for b in ("baseline", "rfh", "rfv") for n in (512, 1024)]
+
+        async def body(app, client):
+            job = await call(client.submit, runs)
+            return await call(client.wait, job["id"])
+
+        try:
+            result = serve_inprocess(engine, body)
+        finally:
+            runner.close()
+        assert result["job"]["status"] == "done"
+        assert runner.metrics.as_dict()["harness.grid.ok"] == 3
+        for spec, run in zip(runs, result["runs"]):
+            assert run["status"] == "ok"
+            assert run["request"]["backend"] == spec["backend"]
+            assert run["request"]["osu_entries"] == spec["osu_entries"]
+            assert run["run"]["osu_entries"] == spec["osu_entries"]
+
+
 class GatedRunner(SuiteRunner):
     """Real SuiteRunner whose batches block until the test releases them —
     makes "submitted while in flight" deterministic."""
