@@ -5,11 +5,9 @@ Every hardware model increments named counters (``rf_read``, ``osu_tag``,
 Counters are a thin wrapper over a ``dict`` with attribute-style access so
 call sites read like hardware events: ``counters.inc("osu_read")``.
 
-Components may instead emit through a :class:`repro.obs.metrics.MetricScope`
-(duck-typed to this class), which mirrors every increment into a
-hierarchical registry *and* into these flat counters under the legacy name —
-the energy model and cached results are unaffected by the observability
-layer.
+One instance per simulated GPU is the simulator's only event store: every
+SM, shard and RegLess component counts into it, and ``SimStats.counters``
+is its snapshot.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..energy.accounting import Counters
 from ..sim.config import GPUConfig
 from ..sim.events import EventWheel
 from .cache import MSHRFile, SetAssocCache
@@ -28,7 +29,7 @@ class L1RegCache:
         self,
         sm_id: int,
         config: GPUConfig,
-        counters,  # Counters or a repro.obs.metrics.MetricScope
+        counters: Counters,
         wheel: EventWheel,
         hierarchy: MemoryHierarchy,
     ):

@@ -1,13 +1,13 @@
-"""``repro.obs`` — structured observability for the simulator.
+"""``repro.obs`` — structured observability for the simulator and its hosts.
 
-Three layers, all opt-out-free (they ride along with every run):
+Three layers:
 
-* :mod:`repro.obs.metrics` — a hierarchical metrics registry
-  (counter/gauge/histogram addressed by component paths such as
-  ``sm0.shard1.cm.region_activations``).  Component scopes forward every
-  increment to the legacy flat :class:`~repro.energy.accounting.Counters`
-  under the old name, so energy accounting and cached results keep
-  working unchanged.
+* :mod:`repro.obs.metrics` — a hierarchical metrics registry (counters
+  and histograms addressed by dotted paths) for the harness
+  (``harness.grid.retries``) and the service (``service.jobs.done``).
+  The simulator counts its hardware events once, into the flat
+  :class:`~repro.energy.accounting.Counters` that energy accounting and
+  the figures read.
 * :mod:`repro.obs.stalls` — per-cycle stall attribution: every warp-cycle
   that does not issue is binned into exactly one stall reason, and the
   bins are conservative (reasons + issued == ``warps x cycles``).

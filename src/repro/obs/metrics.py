@@ -1,25 +1,21 @@
-"""Hierarchical metrics registry with legacy-counter aliasing.
+"""Hierarchical counters and histograms for the harness and the service.
 
-Hardware components emit events into a :class:`MetricScope` whose path
-names the component instance (``sm0.shard1.cm``, ``sm0.l1``, ...).  The
-scope records the event twice:
+A :class:`MetricsRegistry` stores counters and histograms under dotted
+paths; a :class:`MetricScope` is a path prefix onto it, so a component
+counts under its own subtree (``harness.grid.retries``,
+``service.journal.records``) without knowing where it sits.  The harness
+runner (``harness.*``) and the service engine (``service.*``) each own
+one registry; the service serves its own as ``GET /metrics`` and
+``/metrics.json``.
 
-* under its **hierarchical path** in the owning :class:`MetricsRegistry`
-  (``sm0.shard1.cm.region_activations``), which is what the ``stalls``
-  CLI, the Perfetto exporter, and per-component reports read; and
-* under the **legacy flat name** (``region_activations``) in the
-  :class:`~repro.energy.accounting.Counters` the registry bridges, so the
-  energy model, the figure experiments, and previously cached results see
-  exactly the counter names they always did.
-
-A scope is duck-type-compatible with ``Counters`` (it has ``inc`` and
-``get``), so every component that used to take a ``Counters`` can take a
-scope without code changes at its call sites.
+The simulator does not count here: every hardware event goes once into
+the flat :class:`~repro.energy.accounting.Counters` that the energy
+model, the figure experiments and the goldens read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 __all__ = ["MetricsRegistry", "MetricScope", "bucket_125"]
 
@@ -45,59 +41,26 @@ def bucket_125(value: float) -> float:
 
 
 class MetricScope:
-    """A component-path view onto a :class:`MetricsRegistry`.
+    """A component-path view onto a :class:`MetricsRegistry`."""
 
-    ``inc``/``get`` mirror the legacy ``Counters`` API; ``gauge`` and
-    ``observe`` add the richer metric kinds.
-    """
-
-    __slots__ = ("registry", "path", "_full_names", "_legacy_counts")
+    __slots__ = ("registry", "path")
 
     def __init__(self, registry: "MetricsRegistry", path: str):
         self.registry = registry
         self.path = path
-        #: name -> full path, built lazily (inc is a hot path; the f-string
-        #: must not run on every event).
-        self._full_names: Dict[str, str] = {}
-        #: the legacy Counters' backing defaultdict, or None — inc mirrors
-        #: into it directly rather than through a method call per event.
-        legacy = registry.legacy
-        self._legacy_counts = legacy._counts if legacy is not None else None
 
     def _full(self, name: str) -> str:
-        full = self._full_names.get(name)
-        if full is None:
-            full = f"{self.path}.{name}" if self.path else name
-            self._full_names[name] = full
-        return full
-
-    # -- Counters-compatible surface ----------------------------------------
+        return f"{self.path}.{name}" if self.path else name
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        """Count an event under this component (and its legacy alias)."""
-        full = self._full_names.get(name)
-        if full is None:
-            full = self._full(name)
-        counters = self.registry.counters
-        counters[full] = counters.get(full, 0.0) + amount
-        legacy = self._legacy_counts
-        if legacy is not None:
-            legacy[name] += amount
-
-    def get(self, name: str) -> float:
-        """This component's count (NOT the legacy aggregate)."""
-        return self.registry.counters.get(self._full(name), 0.0)
-
-    # -- richer metric kinds -------------------------------------------------
-
-    def gauge(self, name: str, value: float) -> None:
-        self.registry.gauge(self._full(name), value)
+        """Count an event under this component."""
+        self.registry.inc(self._full(name), amount)
 
     def observe(self, name: str, value: float) -> None:
         self.registry.observe(self._full(name), value)
 
     def scope(self, name: str) -> "MetricScope":
-        """A child scope (``sm0.shard1`` -> ``sm0.shard1.cm``)."""
+        """A child scope (``service`` -> ``service.journal``)."""
         return MetricScope(self.registry, self._full(name))
 
     def __repr__(self) -> str:
@@ -105,30 +68,17 @@ class MetricScope:
 
 
 class MetricsRegistry:
-    """Process-wide store of hierarchical counters, gauges and histograms.
+    """Store of hierarchical counters and histograms."""
 
-    ``legacy`` is the flat :class:`~repro.energy.accounting.Counters`
-    instance that scope increments are mirrored into (under the metric's
-    un-prefixed name); pass ``None`` to run without the bridge.
-    """
-
-    def __init__(self, legacy=None):
-        self.legacy = legacy
+    def __init__(self):
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         #: histogram: path -> {observed value -> occurrences}.
         self.histograms: Dict[str, Dict[float, int]] = {}
 
     # -- emission -------------------------------------------------------------
 
-    def inc(self, path: str, amount: float = 1.0,
-            legacy: Optional[str] = None) -> None:
+    def inc(self, path: str, amount: float = 1.0) -> None:
         self.counters[path] = self.counters.get(path, 0.0) + amount
-        if legacy is not None and self.legacy is not None:
-            self.legacy.inc(legacy, amount)
-
-    def gauge(self, path: str, value: float) -> None:
-        self.gauges[path] = value
 
     def observe(self, path: str, value: float) -> None:
         hist = self.histograms.setdefault(path, {})
@@ -142,36 +92,12 @@ class MetricsRegistry:
     def get(self, path: str) -> float:
         return self.counters.get(path, 0.0)
 
-    def collect(self, prefix: str) -> Dict[str, float]:
-        """Every counter under ``prefix`` (path-component match)."""
-        dotted = prefix + "."
-        return {
-            path: value
-            for path, value in self.counters.items()
-            if path == prefix or path.startswith(dotted)
-        }
-
-    def total(self, prefix: str) -> float:
-        return sum(self.collect(prefix).values())
-
-    def leaf_totals(self, depth: int = -1) -> Dict[str, float]:
-        """Counters aggregated by the path with the first ``depth``
-        components dropped — e.g. ``depth=2`` folds ``sm0.shard1.cm.x``
-        and ``sm0.shard0.cm.x`` into ``cm.x``."""
-        out: Dict[str, float] = {}
-        for path, value in self.counters.items():
-            parts = path.split(".")
-            key = ".".join(parts[depth:]) if depth >= 0 else parts[-1]
-            out[key] = out.get(key, 0.0) + value
-        return out
-
     def as_dict(self) -> Dict[str, float]:
-        """Flat path -> value snapshot of every counter, gauge and
-        histogram (a histogram flattens to ``path.bucket.{bound}``
-        occurrence counts plus a ``path.count`` total, so ``/metrics``
-        and ``/metrics.json`` serve it without a schema change)."""
+        """Flat path -> value snapshot of every counter and histogram (a
+        histogram flattens to ``path.bucket.{bound}`` occurrence counts
+        plus a ``path.count`` total, so ``/metrics`` and ``/metrics.json``
+        serve it without a schema change)."""
         out = dict(self.counters)
-        out.update(self.gauges)
         for path, hist in self.histograms.items():
             count = 0
             for value, n in hist.items():
@@ -181,26 +107,8 @@ class MetricsRegistry:
             out[f"{path}.count"] = float(count)
         return out
 
-    def tree(self) -> Dict[str, object]:
-        """Counters as a nested dict keyed by path components."""
-        root: Dict[str, object] = {}
-        for path, value in sorted(self.counters.items()):
-            node = root
-            parts = path.split(".")
-            for part in parts[:-1]:
-                nxt = node.setdefault(part, {})
-                if not isinstance(nxt, dict):  # leaf/branch name collision
-                    nxt = node[part] = {"": nxt}
-                node = nxt
-            leaf = parts[-1]
-            if isinstance(node.get(leaf), dict):
-                node[leaf][""] = value  # type: ignore[index]
-            else:
-                node[leaf] = value
-        return root
-
     def render_text(self, prefix: str = "") -> str:
-        """Counters and gauges as sorted ``path value`` lines.
+        """Every metric as sorted ``path value`` lines.
 
         The service's ``GET /metrics`` endpoint serves this (optionally
         restricted to one subtree, e.g. ``service``) — a flat, stable,
@@ -216,17 +124,8 @@ class MetricsRegistry:
                 lines.append(f"{path} {value}")
         return "\n".join(lines)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        for path, value in other.counters.items():
-            self.counters[path] = self.counters.get(path, 0.0) + value
-        self.gauges.update(other.gauges)
-        for path, hist in other.histograms.items():
-            mine = self.histograms.setdefault(path, {})
-            for value, n in hist.items():
-                mine[value] = mine.get(value, 0) + n
-
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry({len(self.counters)} counters, "
-            f"{len(self.gauges)} gauges, {len(self.histograms)} histograms)"
+            f"{len(self.histograms)} histograms)"
         )

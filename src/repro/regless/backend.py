@@ -55,27 +55,15 @@ class ReglessStorage(OperandStorage):
             n_regs=max(1, self.compiled.kernel.num_regs),
             line_bytes=cfg.line_bytes,
         )
-        # Components emit into hierarchical metric scopes
-        # (``sm0.shard1.cm`` and friends); the registry mirrors every
-        # increment into the flat legacy counters under the old names.
-        metrics = getattr(sm.gpu, "metrics", None)
-
-        def sink(component: str):
-            if metrics is None:  # standalone construction in unit tests
-                return sm.counters
-            return metrics.scope(
-                f"sm{sm.sm_id}.shard{shard.shard_id}.{component}"
-            )
-
         compressor = Compressor(
-            sink("compressor"),
+            sm.counters,
             mapping,
             cache_lines=self.rcfg.compressor_cache_lines,
             enabled=self.rcfg.compressor_enabled,
         )
         self.osu = OperandStagingUnit(
             self.rcfg,
-            sink("osu"),
+            sm.counters,
             sm.wheel,
             sm.l1,
             compressor,
@@ -84,7 +72,7 @@ class ReglessStorage(OperandStorage):
             on_preload_done=self._on_preload_done,
         )
         self.cm = CapacityManager(
-            self.rcfg, self.compiled, sink("cm"), self.osu, shard.warps
+            self.rcfg, self.compiled, sm.counters, self.osu, shard.warps
         )
         # Admission progress (INACTIVE→PRELOADING→ACTIVE) re-admits parked
         # warps to the shard's ready set.

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Set, Tuple
 
+from ..energy.accounting import Counters
 from ..sim.values import LaneValues
 from .mapping import REGS_PER_COMPRESSED_LINE, RegisterMapping
 
@@ -57,7 +58,7 @@ class Compressor:
 
     def __init__(
         self,
-        counters,  # Counters or a repro.obs.metrics.MetricScope
+        counters: Counters,
         mapping: RegisterMapping,
         cache_lines: int = 12,
         enabled: bool = True,

@@ -120,9 +120,11 @@ def request_from_wire(wire: Mapping[str, Any]) -> RunRequest:
 
 def _check_overrides(overrides: Mapping[str, Any]) -> None:
     """Each override names a ``GPUConfig`` field and holds a JSON scalar
-    of its type.  A bad one would otherwise fail inside the executor,
-    where it burns worker attempts or breaks the whole batch, other
-    tenants' runs included; ranges are not checked."""
+    of its type; a number must be positive, except ``max_cycles``, where
+    ``<= 0`` selects the default ceiling.  A bad one would otherwise fail
+    inside the executor, where it burns worker attempts, breaks the whole
+    batch, other tenants' runs included, or (``working_set_window: 0``)
+    spins the run loop forever."""
     kinds = {f.name: type(f.default) for f in fields(GPUConfig)}
     unknown = sorted(set(overrides) - set(kinds))
     if unknown:
@@ -142,6 +144,10 @@ def _check_overrides(overrides: Mapping[str, Any]) -> None:
         if not ok:
             raise SpecError(
                 f"override {name!r} must be {kind.__name__}, got {value!r}"
+            )
+        if kind in (int, float) and value <= 0 and name != "max_cycles":
+            raise SpecError(
+                f"override {name!r} must be positive, got {value!r}"
             )
     if "scheduler" in overrides and overrides["scheduler"] not in SCHEDULERS:
         raise SpecError(

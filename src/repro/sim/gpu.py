@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 from ..compiler.pipeline import CompiledKernel
 from ..energy.accounting import Counters
 from ..mem.hierarchy import MemoryHierarchy
-from ..obs.metrics import MetricsRegistry
 from ..obs.stalls import check_conservation, merge_stalls
 from .config import GPUConfig
 from .events import EventWheel
@@ -62,9 +61,6 @@ class SimStats:
     #: per-shard stall reports: ``{"sm", "shard", "warps", "cycles",
     #: "bins", "occupancy"}`` (see :mod:`repro.obs.stalls`).
     stall_shards: List[Dict[str, object]] = field(default_factory=list)
-    #: hierarchical metrics snapshot (``sm0.shard1.cm.region_activations``
-    #: style paths; see :mod:`repro.obs.metrics`).
-    metrics: Dict[str, float] = field(default_factory=dict)
 
     @property
     def ipc(self) -> float:
@@ -101,9 +97,6 @@ class GPU:
         self.oracle = workload.oracle()
         self.divergent_lines = workload.divergent_lines
         self.counters = Counters()
-        #: hierarchical metrics registry; component scopes mirror every
-        #: increment into the flat legacy ``counters`` (repro.obs.metrics).
-        self.metrics = MetricsRegistry(self.counters)
         self.wheel = EventWheel()
         self.hierarchy = MemoryHierarchy(config, self.counters, self.wheel)
         self.working_set: Set[Tuple[int, int]] = set()
@@ -292,7 +285,6 @@ class GPU:
             window_series=series,
             stalls=stalls,
             stall_shards=stall_reports,
-            metrics=self.metrics.as_dict(),
         )
 
     def _collect_stalls(self, cycles: int):
@@ -311,11 +303,6 @@ class GPU:
                     f"{report['cycles']} cycles, simulation ran {cycles}"
                 )
                 reports.append(report)
-                scope = self.metrics.scope(
-                    f"sm{sm.sm_id}.shard{shard.shard_id}.stall"
-                )
-                for reason, count in report["bins"].items():
-                    self.metrics.inc(f"{scope.path}.{reason}", count)
         return reports, merge_stalls(reports)
 
     def _work_outstanding(self) -> bool:

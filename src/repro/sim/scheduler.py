@@ -10,7 +10,9 @@ candidates until the issue budget is spent.
 
 Bit-identity contract: the candidate sequence must match what the seed
 per-cycle generators produced (``tests/sim/naive_schedulers.py`` keeps
-them as executable references), including their mid-scan quirks —
+them as executable references, and ``test_scheduler_equivalence.py``
+compares every scheduler here against them), including their mid-scan
+quirks —
 
 * GTO yields the greedy warp first, then the least-recently-issued order,
   re-checking ``is not greedy`` at each step, so a mid-scan greedy handoff
@@ -36,7 +38,7 @@ outperforms two-level schedulers [56].
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from .warp import Warp
 
@@ -51,12 +53,13 @@ __all__ = [
 
 
 class WarpScheduler:
-    """Base interface.
+    """Base interface, driven by :class:`~repro.sim.shard.Shard`.
 
-    ``order``/``notify_issue``/``notify_long_stall``/``eligible`` are the
-    seed API (still used by tests and the fallback scan); the event-driven
-    shard additionally drives ``begin_cycle``/``begin_scan`` and the
-    ``notify_ready``/``notify_blocked``/``notify_exit`` bookkeeping hooks.
+    Each cycle the shard calls ``begin_cycle``, then pulls candidates from
+    ``begin_scan``'s scan object; it reports issues and memory stalls
+    (``notify_issue``/``notify_long_stall``) and keeps the scheduler's view
+    of the ready set current through ``notify_ready``/``notify_blocked``/
+    ``notify_exit``.  A subclass must implement ``begin_scan``.
     """
 
     #: True if ``notify_long_stall`` has an observable effect (two-level
@@ -74,11 +77,6 @@ class WarpScheduler:
         #: recorded stall bin must be re-derived).
         self.on_promote: Optional[Callable[[Warp], None]] = None
 
-    # -- seed API -------------------------------------------------------------
-
-    def order(self, cycle: int) -> Iterable[Warp]:
-        raise NotImplementedError
-
     def notify_issue(self, warp: Warp, cycle: int) -> None:
         """A warp issued this cycle."""
 
@@ -95,8 +93,6 @@ class WarpScheduler:
         """
         return True
 
-    # -- event-driven API -----------------------------------------------------
-
     @property
     def quiescent(self) -> bool:
         """True when :meth:`begin_cycle` would be a no-op, so the shard's
@@ -109,8 +105,8 @@ class WarpScheduler:
         """Per-cycle state update before wake-ups and the issue scan."""
 
     def begin_scan(self, cycle: int) -> "_Scan":
-        """Start this cycle's candidate scan (default: wrap ``order``)."""
-        return _FallbackScan(list(self.order(cycle)))
+        """Start this cycle's candidate scan."""
+        raise NotImplementedError
 
     def notify_ready(self, warp: Warp) -> None:
         """The shard re-inserted ``warp`` into the ready set."""
@@ -135,26 +131,6 @@ class _Scan:
 
     def on_wake(self, warp: Warp) -> None:
         pass
-
-
-class _FallbackScan(_Scan):
-    """Scan over a materialized ``order`` list (custom/test schedulers).
-
-    Parked warps in the list are attempted and fail exactly as in the seed
-    issue loop, so schedulers that predate the event API keep working."""
-
-    __slots__ = ("_warps", "_i")
-
-    def __init__(self, warps: List[Warp]):
-        self._warps = warps
-        self._i = 0
-
-    def next_candidate(self) -> Optional[Warp]:
-        i = self._i
-        if i >= len(self._warps):
-            return None
-        self._i = i + 1
-        return self._warps[i]
 
 
 # -- GTO --------------------------------------------------------------------
@@ -228,14 +204,6 @@ class GTOScheduler(WarpScheduler):
         self._greedy_issued_at = -1
         self._lru: List[Warp] = sorted(warps, key=_gto_key)
         self._lru_keys: List[tuple] = [_gto_key(w) for w in self._lru]
-
-    def order(self, cycle: int) -> Iterable[Warp]:
-        # Seed-compatible view (tests, fallback paths; not the hot path).
-        if self._greedy is not None and not self._greedy.done:
-            yield self._greedy
-        for w in sorted(self.warps, key=lambda w: w.last_issue_cycle):
-            if w is not self._greedy:
-                yield w
 
     def begin_scan(self, cycle: int) -> _Scan:
         return _GTOScan(self)
@@ -330,11 +298,6 @@ class LRRScheduler(WarpScheduler):
         self._next = 0
         self._ready_slots: List[int] = [w.slot for w in warps]
 
-    def order(self, cycle: int) -> Iterable[Warp]:
-        n = len(self.warps)
-        for i in range(n):
-            yield self.warps[(self._next + i) % n]
-
     def begin_scan(self, cycle: int) -> _Scan:
         return _LRRScan(self)
 
@@ -414,15 +377,6 @@ class TwoLevelScheduler(WarpScheduler):
         #: the purge list rebuilds can be skipped.
         self._done_dirty = False
 
-    def order(self, cycle: int) -> Iterable[Warp]:
-        # Seed-compatible view (tests, fallback paths; not the hot path).
-        # Callers of the seed API may flip ``warp.exited`` without routing
-        # through notify_exit, so force the full purge here.
-        self._now = cycle
-        self._done_dirty = True
-        self._refill()
-        return list(self._active)
-
     @property
     def quiescent(self) -> bool:
         # ``_now`` going stale across skipped begin_cycle calls is safe:
@@ -468,10 +422,6 @@ class TwoLevelScheduler(WarpScheduler):
 
     def eligible(self, warp: Warp) -> bool:
         return warp in self._active
-
-    @property
-    def active_pool(self) -> List[Warp]:
-        return list(self._active)
 
 
 #: every ``GPUConfig.scheduler`` value :func:`make_scheduler` accepts.

@@ -62,8 +62,7 @@ class SM:
         # Warps / shards --------------------------------------------------------
         cfg = self.config
         self.l1 = L1RegCache(
-            sm_id, cfg, gpu.metrics.scope(f"sm{sm_id}.l1"), self.wheel,
-            self.hierarchy,
+            sm_id, cfg, gpu.counters, self.wheel, self.hierarchy,
         )
         self.warps: List[Warp] = []
         self.shards: List[Shard] = []

@@ -8,6 +8,21 @@ from repro.sim import GPUConfig, LoopExit, BernoulliLanes
 from repro.workloads import Workload
 
 
+@pytest.fixture(autouse=True, scope="session")
+def private_result_store(tmp_path_factory):
+    """Point the default result store at this session's own directory.
+
+    A test that builds ``SuiteRunner(...)`` with the default cache would
+    otherwise read and fill ``$REPRO_CACHE_DIR`` or the user's store, and
+    a store warmed by an earlier run turns its simulations into cache
+    reads.  ``setenv`` writes ``os.environ``, so CLI and daemon
+    subprocesses inherit it; a test that picks its own directory with
+    ``monkeypatch`` still does."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("results")))
+        yield
+
+
 def build_straightline():
     """No control flow: entry computes and exits."""
     b = KernelBuilder("straight")

@@ -49,14 +49,6 @@ class TestGoldenBfsBreakdown:
             stalls.pop("issued", None)
             assert max(stalls, key=stalls.get) == "mem_pending"
 
-    def test_stall_bins_surface_in_hierarchical_metrics(self, bfs_runs):
-        base, _ = bfs_runs
-        metrics = base.stats.metrics
-        keys = [k for k in metrics if ".stall." in k]
-        assert keys
-        assert sum(metrics[k] for k in keys) == \
-            base.stats.warps_total * base.stats.cycles
-
     def test_render(self, bfs_runs):
         base, regless = bfs_runs
         text = render_stalls({

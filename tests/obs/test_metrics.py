@@ -1,93 +1,42 @@
-"""The hierarchical metrics registry and its legacy-counter bridge."""
+"""The hierarchical metrics registry of the harness and the service."""
 
-from repro.energy import Counters
 from repro.obs import MetricsRegistry
 
 
 class TestScopeAliasing:
-    def test_inc_mirrors_to_legacy_flat_name(self):
-        legacy = Counters()
-        reg = MetricsRegistry(legacy)
-        cm = reg.scope("sm0.shard1.cm")
-        cm.inc("region_activations")
-        cm.inc("region_activations", 2)
-        assert reg.get("sm0.shard1.cm.region_activations") == 3
-        assert legacy.get("region_activations") == 3
-
-    def test_sibling_scopes_share_the_legacy_aggregate(self):
-        legacy = Counters()
-        reg = MetricsRegistry(legacy)
-        reg.scope("sm0.shard0.osu").inc("osu_read")
-        reg.scope("sm0.shard1.osu").inc("osu_read")
-        assert legacy.get("osu_read") == 2
-        assert reg.get("sm0.shard0.osu.osu_read") == 1
-        assert reg.get("sm0.shard1.osu.osu_read") == 1
-
-    def test_scope_get_is_component_local(self):
-        reg = MetricsRegistry(Counters())
-        a, b = reg.scope("sm0.l1"), reg.scope("sm1.l1")
-        a.inc("l1_hit", 5)
-        assert a.get("l1_hit") == 5
-        assert b.get("l1_hit") == 0
+    def test_sibling_scopes_count_separately(self):
+        reg = MetricsRegistry()
+        reg.scope("service.journal").inc("records")
+        reg.scope("harness.cache").inc("records", 2)
+        assert reg.get("service.journal.records") == 1
+        assert reg.get("harness.cache.records") == 2
 
     def test_child_scope_extends_the_path(self):
         reg = MetricsRegistry()
-        child = reg.scope("sm0").scope("shard1").scope("cm")
-        child.inc("x")
-        assert reg.get("sm0.shard1.cm.x") == 1
+        child = reg.scope("harness").scope("grid").scope("failure")
+        child.inc("hung")
+        assert reg.get("harness.grid.failure.hung") == 1
 
     def test_registry_without_bridge(self):
         reg = MetricsRegistry()
-        reg.scope("sm0.cm").inc("evt")
-        assert reg.get("sm0.cm.evt") == 1
+        reg.scope("service.admission").inc("deduped")
+        assert reg.get("service.admission.deduped") == 1
 
 
 class TestQueries:
-    def _filled(self):
-        reg = MetricsRegistry()
-        reg.inc("sm0.shard0.cm.a", 1)
-        reg.inc("sm0.shard1.cm.a", 2)
-        reg.inc("sm0.shard10.cm.a", 4)
-        reg.inc("sm0.l1.hit", 8)
-        return reg
-
-    def test_collect_respects_component_boundaries(self):
-        reg = self._filled()
-        got = reg.collect("sm0.shard1")
-        assert got == {"sm0.shard1.cm.a": 2}  # not shard10
-
-    def test_total(self):
-        reg = self._filled()
-        assert reg.total("sm0") == 15
-        assert reg.total("sm0.l1") == 8
-
-    def test_leaf_totals_fold_instances(self):
-        reg = self._filled()
-        by_component = reg.leaf_totals(depth=2)
-        assert by_component["cm.a"] == 7
-        by_name = reg.leaf_totals()
-        assert by_name["a"] == 7 and by_name["hit"] == 8
-
-    def test_tree_nests_by_path(self):
-        reg = self._filled()
-        tree = reg.tree()
-        assert tree["sm0"]["shard0"]["cm"]["a"] == 1
-        assert tree["sm0"]["l1"]["hit"] == 8
-
-    def test_as_dict_includes_gauges(self):
+    def test_as_dict_holds_counters(self):
         reg = MetricsRegistry()
         reg.inc("a.count", 2)
-        reg.gauge("a.level", 0.5)
-        snap = reg.as_dict()
-        assert snap == {"a.count": 2, "a.level": 0.5}
+        reg.scope("a").inc("count")
+        assert reg.as_dict() == {"a.count": 3}
 
     def test_observe_builds_histogram(self):
         reg = MetricsRegistry()
-        scope = reg.scope("sm0")
+        scope = reg.scope("service")
         scope.observe("lat", 3)
         scope.observe("lat", 3)
         scope.observe("lat", 7)
-        assert reg.histograms["sm0.lat"] == {3: 2, 7: 1}
+        assert reg.histograms["service.lat"] == {3: 2, 7: 1}
 
     def test_bucket_125_rounds_up_to_series(self):
         from repro.obs import bucket_125
@@ -116,14 +65,3 @@ class TestQueries:
         # render_text (the /metrics endpoint) rides on as_dict
         text = reg.render_text("service")
         assert "service.run.exec_ms.bucket.5 2" in text
-
-    def test_merge_sums_everything(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("x", 1)
-        b.inc("x", 2)
-        b.gauge("g", 9)
-        b.observe("h", 4)
-        a.merge(b)
-        assert a.get("x") == 3
-        assert a.gauges["g"] == 9
-        assert a.histograms["h"] == {4: 1}

@@ -64,6 +64,14 @@ class TestRequestValidation:
             ({"icnt_per_sm": False}, "'icnt_per_sm' must be float"),
             ({"icnt_per_sm": "1.0"}, "'icnt_per_sm' must be float"),
             ({"fast_forward": 1}, "'fast_forward' must be bool"),
+            ({"working_set_window": 0},
+             "'working_set_window' must be positive"),
+            ({"working_set_window": -1},
+             "'working_set_window' must be positive"),
+            ({"schedulers_per_sm": 0}, "'schedulers_per_sm' must be positive"),
+            ({"line_bytes": 0}, "'line_bytes' must be positive"),
+            ({"dram_lines_per_cycle": 0.0},
+             "'dram_lines_per_cycle' must be positive"),
             ({"scheduler": 1}, "'scheduler' must be str"),
             ({"scheduler": "nope"}, "unknown scheduler"),
         ):
@@ -73,7 +81,7 @@ class TestRequestValidation:
     def test_accepts_typed_overrides(self):
         overrides = {"warps_per_sm": 16, "icnt_per_sm": 2,
                      "dram_lines_per_cycle": 1.5, "fast_forward": False,
-                     "scheduler": "two_level"}
+                     "scheduler": "two_level", "max_cycles": 0}
         req = request_from_wire({"benchmark": "bfs", "backend": "baseline",
                                  "overrides": overrides})
         assert dict(req.overrides) == overrides
