@@ -74,19 +74,17 @@ STALL_REASONS = (
 class ShardStallTracker:
     """Accumulates one shard's per-cycle stall bins.
 
-    ``bins`` maps reason -> warp-cycles.  ``occupancy`` maps reason ->
-    ``{n: cycles}``: the number of cycles during which exactly ``n`` of
-    the shard's warps were in that bin (the per-warp-state occupancy
-    histogram).
+    ``bins`` maps reason -> warp-cycles.  The tracker lives on its shard
+    (``shard.stalls``); a run's result carries only the bins merged over
+    every shard (:attr:`repro.sim.gpu.SimStats.stalls`).
     """
 
-    __slots__ = ("n_warps", "_cycles", "_bins", "_occupancy", "_last", "_repeat")
+    __slots__ = ("n_warps", "_cycles", "_bins", "_last", "_repeat")
 
     def __init__(self, n_warps: int):
         self.n_warps = n_warps
         self._cycles = 0
         self._bins: Dict[str, int] = {}
-        self._occupancy: Dict[str, Dict[int, int]] = {}
         self._last: Optional[Dict[str, int]] = None
         #: pending repetitions of ``_last`` not yet folded into the
         #: accumulators (run-length encoding: long stretches of cycles
@@ -128,14 +126,8 @@ class ShardStallTracker:
         self._repeat = 0
         self._cycles += n
         bins = self._bins
-        occupancy = self._occupancy
         for reason, count in last.items():
             bins[reason] = bins.get(reason, 0) + count * n
-            hist = occupancy.get(reason)
-            if hist is None:
-                occupancy[reason] = {count: n}
-            else:
-                hist[count] = hist.get(count, 0) + n
 
     # -- queries --------------------------------------------------------------
 
@@ -152,18 +144,13 @@ class ShardStallTracker:
         return self._bins
 
     @property
-    def occupancy(self) -> Dict[str, Dict[int, int]]:
-        """reason -> {warps-in-bin: cycles at that count}."""
-        self._flush()
-        return self._occupancy
-
-    @property
     def total(self) -> int:
         self._flush()
         return sum(self._bins.values())
 
     def report(self, sm: int, shard: int) -> Dict[str, object]:
-        """A plain-dict snapshot (pickles into cached results)."""
+        """A plain-dict snapshot, the unit :func:`check_conservation` and
+        :func:`merge_stalls` take."""
         self._flush()
         return {
             "sm": sm,
@@ -171,7 +158,6 @@ class ShardStallTracker:
             "warps": self.n_warps,
             "cycles": self._cycles,
             "bins": dict(self._bins),
-            "occupancy": {r: dict(h) for r, h in self._occupancy.items()},
         }
 
 

@@ -50,9 +50,11 @@ are served verbatim (never re-executed — exactly-once accounting), runs
 that never produced a journaled outcome are re-dispatched through the
 ``jobs/runs.resumed`` path, where the content-addressed disk cache
 makes any re-dispatch of work that *simulated* but didn't *journal* a
-cheap, deterministic cache hit.  ``drain()`` additionally compacts the
-journal into the snapshot so a graceful shutdown leaves a plain JSON
-state file.
+cheap, deterministic cache hit.  Replay restores each job as it was
+admitted, without today's admission checks; a missing run that no longer
+passes them gets a ``crashed`` outcome instead of a dispatch.
+``drain()`` additionally compacts the journal into the snapshot so a
+graceful shutdown leaves a plain JSON state file.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ from ..sim.watchdog import WatchdogConfig
 from .admission import AdmissionController
 from .journal import JournalStore
 from .quotas import QuotaGate, TenantQuota
-from .schemas import job_to_wire, outcome_to_wire, request_from_wire, \
-    request_to_wire
+from .schemas import SpecError, job_to_wire, outcome_to_wire, \
+    request_from_record, request_from_wire, request_to_wire
 from .supervisor import BreakerConfig, CircuitBreaker, OverloadedError, \
     Supervisor
 
@@ -164,7 +166,7 @@ class Job:
             id=record["id"],
             tenant=record["tenant"],
             priority=record["priority"],
-            requests=[request_from_wire(r) for r in record["requests"]],
+            requests=[request_from_record(r) for r in record["requests"]],
             tags=dict(record.get("tags", {})),
             status=record["status"],
             created=record.get("created", 0.0),
@@ -298,14 +300,24 @@ class ServiceEngine:
                     continue
                 job.status = Job.QUEUED
                 job.submitted_mono = time.monotonic()
-                missing = job.missing_indices()
+                # What _finalize or cancel releases: one job, every run.
+                self.quotas.charge(job.tenant, len(job.requests))
+                missing = []
+                for index in job.missing_indices():
+                    try:  # admitted once; today's checks may be stricter
+                        request_from_wire(request_to_wire(job.requests[index]))
+                    except SpecError as exc:
+                        self._close_run(job, index, RunOutcome.CRASHED,
+                                        f"rejected on resume: {exc}")
+                    else:
+                        missing.append(index)
                 if not missing:
-                    # every outcome was journaled before the crash; only
-                    # the finish record is missing — close the job out
-                    # without dispatching anything (exactly-once).
+                    # every run has an outcome, journaled before the
+                    # crash or rejected above; only the finish record is
+                    # missing — close the job out without dispatching
+                    # anything (exactly-once).
                     self._finalize(job)
                     continue
-                self.quotas.charge(job.tenant, len(missing))
                 for index in missing:
                     self._admit_work(job, index)
                 resumed_runs += len(missing)
@@ -701,6 +713,19 @@ class ServiceEngine:
         job.outcomes[index] = record
         self._publish(job, record)
 
+    def _close_run(self, job: Job, index: int, status: str,
+                   error: str) -> None:
+        """Record a terminal outcome for a run that will never execute."""
+        self._record_outcome(job, index, {
+            "event": "outcome",
+            "index": index,
+            "request": request_to_wire(job.requests[index]),
+            "status": status,
+            "attempts": 0,
+            "error": error,
+        })
+        self.metrics.inc(f"runs.{status}")
+
     def _finalize(self, job: Job) -> None:
         failed = [o for o in job.outcomes.values()
                   if o.get("status") != RunOutcome.OK]
@@ -748,16 +773,8 @@ class ServiceEngine:
             self.metrics.inc("jobs.expired")
             self.admission.unsubscribe(job.id)
             for index in job.missing_indices():
-                record = {
-                    "event": "outcome",
-                    "index": index,
-                    "request": request_to_wire(job.requests[index]),
-                    "status": "expired",
-                    "attempts": 0,
-                    "error": f"job deadline of {job.deadline_s:g}s exceeded",
-                }
-                self._record_outcome(job, index, record)
-                self.metrics.inc("runs.expired")
+                self._close_run(job, index, "expired",
+                                f"job deadline of {job.deadline_s:g}s exceeded")
             self._finalize(job)
         if expired:
             self._maybe_compact()

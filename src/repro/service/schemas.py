@@ -42,6 +42,7 @@ __all__ = [
     "job_to_wire",
     "outcome_to_wire",
     "parse_job_spec",
+    "request_from_record",
     "request_from_wire",
     "request_to_wire",
     "result_to_wire",
@@ -113,9 +114,15 @@ def request_from_wire(wire: Mapping[str, Any]) -> RunRequest:
     ):
         raise SpecError("overrides must be an object with string keys")
     _check_overrides(overrides)
+    return request_from_record(wire)
+
+
+def request_from_record(wire: Mapping[str, Any]) -> RunRequest:
+    """Rebuild a journaled request as it was admitted, without the
+    admission checks of :func:`request_from_wire`."""
     return RunRequest.make(
-        benchmark, backend, osu_entries, tuple(window_series), **dict(overrides)
-    )
+        wire["benchmark"], wire["backend"], wire.get("osu_entries", 512),
+        wire.get("window_series", ()), **wire.get("overrides", {}))
 
 
 def _check_overrides(overrides: Mapping[str, Any]) -> None:

@@ -11,17 +11,11 @@ dispatch resolved ahead of time: immediates become shared pre-built
 the opcode ``if``-chain disappears entirely.  The simulator then executes
 the same few hundred static instructions hundreds of thousands of times at
 one indirect call each.
-
-Plans are deduplicated *globally* by instruction content (``Instruction``
-hashes over opcode/operands/guard/target/tag): two ``Instruction`` objects
-spelling the same operation — the same kernel compiled in different worker
-processes, or re-unpickled from the result cache — share one compiled plan
-instead of recompiling per object.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..isa.instructions import Instruction
 from ..isa.opcodes import Opcode
@@ -132,21 +126,8 @@ def _build_plan(insn: Instruction) -> _Plan:
     return chain
 
 
-# Content-keyed plan store: ``Instruction`` hashes/compares over its static
-# fields only, so equal instructions from different kernels (or different
-# unpicklings of the same kernel) land on one plan.  The cap is a leak guard
-# for pathological generators, far above any real program's footprint.
-_PLAN_CACHE: Dict[Instruction, _Plan] = {}
-_PLAN_CACHE_MAX = 8192
-
-
 def _plan_for(insn: Instruction) -> _Plan:
-    plan = _PLAN_CACHE.get(insn)
-    if plan is None:
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.clear()
-        plan = _build_plan(insn)
-        _PLAN_CACHE[insn] = plan
+    plan = _build_plan(insn)
     object.__setattr__(insn, "exec_plan", plan)  # frozen: cache slot
     return plan
 

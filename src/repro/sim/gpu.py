@@ -56,11 +56,9 @@ class SimStats:
     #: per-window deltas of selected counters (Figure 3 time series).
     window_series: Dict[str, List[float]] = field(default_factory=dict)
     #: stall attribution, reason -> warp-cycles, summed over all shards
-    #: (includes ``issued``; conserves ``warps x cycles``).
+    #: (includes ``issued``; conserves ``warps x cycles``).  Each shard's
+    #: own bins stay on its tracker, ``shard.stalls``.
     stalls: Dict[str, int] = field(default_factory=dict)
-    #: per-shard stall reports: ``{"sm", "shard", "warps", "cycles",
-    #: "bins", "occupancy"}`` (see :mod:`repro.obs.stalls`).
-    stall_shards: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def ipc(self) -> float:
@@ -271,7 +269,7 @@ class GPU:
             # make that visible in counters instead of failing silently.
             self.counters.inc("cycle_ceiling")
 
-        stall_reports, stalls = self._collect_stalls(wheel.now)
+        stalls = self._collect_stalls(wheel.now)
         warps_done = sum(sm.warps_done for sm in self.sms)
         warps_total = sum(len(sm.warps) for sm in self.sms)
         return SimStats(
@@ -284,12 +282,12 @@ class GPU:
             working_set_samples=ws_samples,
             window_series=series,
             stalls=stalls,
-            stall_shards=stall_reports,
         )
 
-    def _collect_stalls(self, cycles: int):
-        """Gather per-shard stall reports; every one must be conservative
-        (attributed warp-cycles == warps x cycles)."""
+    def _collect_stalls(self, cycles: int) -> Dict[str, int]:
+        """Merge every shard's stall bins into one breakdown.  Each shard
+        must first be conservative (attributed warp-cycles == warps x
+        cycles) and have accounted every one of the run's ``cycles``."""
         reports = []
         for sm in self.sms:
             for shard in sm.shards:
@@ -303,7 +301,7 @@ class GPU:
                     f"{report['cycles']} cycles, simulation ran {cycles}"
                 )
                 reports.append(report)
-        return reports, merge_stalls(reports)
+        return merge_stalls(reports)
 
     def _work_outstanding(self) -> bool:
         return (

@@ -1,6 +1,7 @@
 """The ``stalls``/``trace`` harness verbs and the golden bfs breakdown."""
 
 import json
+import pickle
 
 import pytest
 
@@ -8,7 +9,6 @@ from repro.harness.cli import main
 from repro.harness.report import render_stalls
 from repro.harness.runner import SuiteRunner
 from repro.obs.perfetto import validate_chrome_trace
-from repro.obs.stalls import check_conservation
 
 
 @pytest.fixture(scope="module")
@@ -21,12 +21,18 @@ def bfs_runs():
 
 class TestGoldenBfsBreakdown:
     def test_both_backends_conserve(self, bfs_runs):
+        # Each shard's conservation is asserted inside the run itself.
         for result in bfs_runs:
             stats = result.stats
-            for report in stats.stall_shards:
-                check_conservation(report)
             assert sum(stats.stalls.values()) == \
                 stats.warps_total * stats.cycles
+
+    def test_results_carry_one_breakdown(self, bfs_runs):
+        # A result is what a worker reply, the memo and a cache entry
+        # hold; per-shard stall reports would more than double it.
+        for result in bfs_runs:
+            size = len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+            assert size < 2000, (result.backend, size)
 
     def test_baseline_reasons_are_baseline_only(self, bfs_runs):
         base, _ = bfs_runs

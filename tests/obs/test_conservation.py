@@ -9,7 +9,8 @@ from repro.isa import KernelBuilder
 from repro.obs.stalls import ISSUED, STALL_REASONS, check_conservation
 from repro.regfile import BaselineRF, RFHStorage, RFVStorage
 from repro.regless import ReglessConfig, ReglessStorage
-from repro.sim import BernoulliLanes, GPUConfig, LoopExit, run_simulation
+from repro.sim import GPU, BernoulliLanes, GPUConfig, LoopExit, \
+    run_simulation
 from repro.workloads import Workload
 
 FAST = GPUConfig(warps_per_sm=8, schedulers_per_sm=2, cta_size_warps=4,
@@ -19,6 +20,8 @@ BACKENDS = ("baseline", "rfh", "rfv", "regless", "regless-nc")
 
 
 def _run(backend, compiled, workload):
+    """Run ``workload`` on ``backend``; returns the GPU (its shards keep
+    their stall trackers) and the run's stats."""
     cfg = FAST
     if backend in ("rfh", "rfv"):
         cfg = cfg.with_(scheduler="two_level")
@@ -31,23 +34,20 @@ def _run(backend, compiled, workload):
             compiled, ReglessConfig(compressor_enabled=False)
         ),
     }[backend]
-    return run_simulation(cfg, compiled, workload, factory)
+    gpu = GPU(cfg, compiled, workload, factory)
+    return gpu, gpu.run()
 
 
-def _assert_conservative(stats):
-    assert stats.stall_shards, "attribution enabled but no reports"
-    for report in stats.stall_shards:
+def _assert_conservative(gpu, stats):
+    shards = [(sm.sm_id, shard) for sm in gpu.sms for shard in sm.shards]
+    assert shards
+    for sm_id, shard in shards:
+        report = shard.stalls.report(sm_id, shard.shard_id)
         check_conservation(report)
         assert report["cycles"] == stats.cycles
         for reason, count in report["bins"].items():
             assert count >= 0
             assert reason == ISSUED or reason in STALL_REASONS
-        for reason, hist in report["occupancy"].items():
-            # Each reason appears in at most `cycles` histogram entries,
-            # and the histogram re-derives the bin exactly.
-            assert sum(hist.values()) <= report["cycles"]
-            assert sum(n * c for n, c in hist.items()) == \
-                report["bins"][reason]
     assert sum(stats.stalls.values()) == stats.warps_total * stats.cycles
 
 
@@ -100,9 +100,9 @@ def _mixed_workload(trips: int, p: float) -> Workload:
 def test_fixed_workloads_conserve(backend, loop_workload, diamond_workload):
     for workload in (loop_workload, diamond_workload):
         compiled = compile_kernel(workload.kernel())
-        stats = _run(backend, compiled, workload)
+        gpu, stats = _run(backend, compiled, workload)
         assert stats.finished
-        _assert_conservative(stats)
+        _assert_conservative(gpu, stats)
         assert stats.stalls.get(ISSUED, 0) > 0
 
 
@@ -115,9 +115,9 @@ def test_fixed_workloads_conserve(backend, loop_workload, diamond_workload):
 def test_conservation_property(backend, trips, p):
     workload = _mixed_workload(trips, p)
     compiled = compile_kernel(workload.kernel())
-    stats = _run(backend, compiled, workload)
+    gpu, stats = _run(backend, compiled, workload)
     assert stats.finished
-    _assert_conservative(stats)
+    _assert_conservative(gpu, stats)
 
 
 def test_attribution_can_be_disabled(loop_workload):
@@ -126,7 +126,7 @@ def test_attribution_can_be_disabled(loop_workload):
     stats = run_simulation(cfg, compiled, loop_workload,
                            lambda sm, sh: BaselineRF())
     assert stats.finished
-    assert stats.stalls == {} and stats.stall_shards == []
+    assert stats.stalls == {}
 
 
 def test_attribution_does_not_change_timing(loop_workload):

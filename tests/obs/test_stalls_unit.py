@@ -20,16 +20,6 @@ class TestCommit:
         assert t.cycles == 2
         assert t.total == 8
 
-    def test_occupancy_histogram(self):
-        t = ShardStallTracker(4)
-        t.commit({"scoreboard": 3, ISSUED: 1})
-        t.commit({"scoreboard": 3, ISSUED: 1})
-        t.commit({"scoreboard": 1, ISSUED: 3})
-        assert t.occupancy["scoreboard"] == {3: 2, 1: 1}
-        # Histogram and bins agree: sum(n * cycles_at_n) == warp-cycles.
-        for reason, hist in t.occupancy.items():
-            assert sum(n * c for n, c in hist.items()) == t.bins[reason]
-
 
 class TestReplay:
     def test_replay_scales_the_last_cycle(self):
@@ -38,7 +28,6 @@ class TestReplay:
         t.replay(10)
         assert t.cycles == 11
         assert t.bins == {"mem_pending": 44}
-        assert t.occupancy["mem_pending"] == {4: 11}
 
     def test_replay_zero_is_noop(self):
         t = ShardStallTracker(2)

@@ -15,7 +15,7 @@ import pytest
 
 from repro.harness.parallel import RunOutcome, RunRequest
 from repro.service import DrainingError, Job, JournalStore, Priority, \
-    ServiceConfig, ServiceEngine
+    ServiceConfig, ServiceEngine, outcome_to_wire
 
 
 BFS = RunRequest.make("bfs", "baseline")
@@ -409,6 +409,101 @@ class TestDrainRestart:
         assert job.status == Job.DONE
         assert runner.executed == []  # exactly-once: nothing re-ran
         assert job.outcomes[0]["status"] == "ok"
+
+
+def ok_record(index, request):
+    return outcome_to_wire(index, RunOutcome(
+        request, RunOutcome.OK, result=fake_result(request), attempts=1))
+
+
+def write_state(path, *jobs):
+    """A state file holding ``jobs`` as a previous life left them."""
+    store = JournalStore(str(path), fsync=False)
+    store.load()
+    store.compact([job.to_record() for job in jobs], seq=len(jobs))
+    store.close()
+
+
+async def restart(path):
+    runner = FakeRunner()
+    engine = ServiceEngine(ServiceConfig(state_path=str(path)), runner=runner)
+    await engine.start()
+    return runner, engine
+
+
+#: a run admission accepted once and rejects now.
+ZERO_SCHEDULERS = RunRequest.make("bfs", "baseline", schedulers_per_sm=0)
+
+
+class TestReplay:
+    def test_resume_charges_what_finish_releases(self, tmp_path):
+        # Job A lost 3 of its 4 outcomes; job B has both of its outcomes
+        # but no finish record.  Finishing either releases all its runs.
+        a_runs = [BFS, NW, HOTSPOT, RunRequest.make("bfs", "regless")]
+        b_runs = [RunRequest.make("nw", "rfh"), RunRequest.make("nw", "rfv")]
+        a = Job(id="a", tenant="t", priority="batch", requests=a_runs,
+                status=Job.RUNNING, outcomes={0: ok_record(0, BFS)})
+        b = Job(id="b", tenant="t", priority="batch", requests=b_runs,
+                status=Job.RUNNING,
+                outcomes={i: ok_record(i, r) for i, r in enumerate(b_runs)})
+        write_state(tmp_path / "state.json", a, b)
+
+        async def main():
+            runner, engine = await restart(tmp_path / "state.json")
+            after_start = engine.quotas.active("t")
+            await collect_events(engine, "a")
+            await engine.stop()
+            return runner, engine, after_start
+
+        runner, engine, after_start = run(main())
+        assert after_start == {"jobs": 1, "runs": 4}
+        assert engine.job("b").status == Job.DONE
+        assert engine.job("a").status == Job.DONE
+        assert sorted(runner.executed, key=repr) == sorted(a_runs[1:], key=repr)
+        assert engine.quotas.active("t") == {"jobs": 0, "runs": 0}
+
+    def test_state_with_a_now_rejected_run_boots(self, tmp_path):
+        old = Job(id="old", tenant="x", priority="batch",
+                  requests=[ZERO_SCHEDULERS], status=Job.FAILED,
+                  outcomes={0: {"event": "outcome", "index": 0,
+                                "status": "crashed", "attempts": 3}})
+        queued = Job(id="new", tenant="y", priority="batch", requests=[BFS])
+        write_state(tmp_path / "state.json", old, queued)
+
+        async def main():
+            runner, engine = await restart(tmp_path / "state.json")
+            await collect_events(engine, "new")
+            await engine.stop()
+            return runner, engine
+
+        runner, engine = run(main())
+        assert engine.job("old").status == Job.FAILED
+        assert engine.job("old").requests == [ZERO_SCHEDULERS]
+        assert engine.job("new").status == Job.DONE
+        assert runner.executed == [BFS]
+
+    def test_resumed_run_that_fails_admission_crashes(self, tmp_path):
+        job = Job(id="j", tenant="t", priority="batch",
+                  requests=[BFS, ZERO_SCHEDULERS])
+        write_state(tmp_path / "state.json", job)
+
+        async def main():
+            runner, engine = await restart(tmp_path / "state.json")
+            events = await collect_events(engine, "j")
+            await engine.stop()
+            return runner, engine, events
+
+        runner, engine, events = run(main())
+        job = engine.job("j")
+        assert job.status == Job.FAILED
+        assert runner.executed == [BFS]
+        assert job.outcomes[0]["status"] == RunOutcome.OK
+        bad = job.outcomes[1]
+        assert bad["status"] == RunOutcome.CRASHED and bad["attempts"] == 0
+        assert "override 'schedulers_per_sm' must be positive" in bad["error"]
+        assert events[-1]["status"] == Job.FAILED
+        assert engine.registry.get("service.runs.crashed") == 1
+        assert engine.quotas.active("t") == {"jobs": 0, "runs": 0}
 
 
 class TestEventSequences:

@@ -71,17 +71,7 @@ class TestSemantics:
 
 
 class TestPlanCache:
-    """The content-keyed global plan store (``executor._PLAN_CACHE``)."""
-
-    def test_equal_instructions_share_one_plan(self):
-        from repro.sim import executor
-        a = insn(Opcode.IADD, 3, Reg(0), Imm(5))
-        b = insn(Opcode.IADD, 3, Reg(0), Imm(5))
-        assert a is not b and a == b
-        compute_result(warp(), a)
-        compute_result(warp(), b)
-        assert a.exec_plan is b.exec_plan
-        assert executor._PLAN_CACHE[a] is a.exec_plan
+    """Each instruction builds its plan once, into ``insn.exec_plan``."""
 
     def test_distinct_instructions_get_distinct_plans(self):
         a = insn(Opcode.IADD, 3, Reg(0), Imm(5))
@@ -97,21 +87,4 @@ class TestPlanCache:
         b = pickle.loads(pickle.dumps(a))
         assert b.exec_plan is None  # closures never travel
         r = compute_result(warp(), b)
-        assert b.exec_plan is a.exec_plan
         assert r == compute_result(warp(), a)
-
-    def test_cache_cap_clears_instead_of_growing(self):
-        from repro.sim import executor
-        before = dict(executor._PLAN_CACHE)
-        try:
-            executor._PLAN_CACHE.clear()
-            executor._PLAN_CACHE_MAX, saved = 4, executor._PLAN_CACHE_MAX
-            try:
-                for k in range(9):
-                    compute_result(warp(), insn(Opcode.IADD, 3, Reg(0), Imm(k)))
-                assert len(executor._PLAN_CACHE) <= 4
-            finally:
-                executor._PLAN_CACHE_MAX = saved
-        finally:
-            executor._PLAN_CACHE.clear()
-            executor._PLAN_CACHE.update(before)
