@@ -2,9 +2,9 @@
 
 All benchmarks share one session-scoped :class:`SuiteRunner`, so simulation
 runs are memoized across figures (Figure 14, 15 and 16 all reuse the same
-grid of runs).  Each benchmark prints the regenerated table — run with
-``pytest benchmarks/ --benchmark-only -s`` to see them — and records its
-headline numbers in ``benchmark.extra_info``.
+grid of runs).  ``test_figures.py`` prints each regenerated table and its
+claims — run with ``pytest benchmarks/ --benchmark-only -s`` to see them —
+and records each claim's measured value in ``benchmark.extra_info``.
 
 Set ``REPRO_BENCH_SUBSET=bfs,nw,...`` to restrict the benchmark set while
 iterating; the default regenerates every figure over the full 21-benchmark

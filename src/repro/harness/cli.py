@@ -10,17 +10,20 @@ Examples::
     python -m repro.harness stalls bfs nw         # warp-cycle stall breakdown
     python -m repro.harness trace bfs --perfetto  # Chrome-trace JSON export
     python -m repro.harness seeds                 # seed-stability study
-    python -m repro.harness all --timeout 300 --retries 2   # resilient sweep
+    python -m repro.harness all --timeout 300 --retries 4   # deadline, 4 retries
 
 Worker count defaults to ``REPRO_JOBS`` or the CPU count; results persist
 in the cache described in :mod:`repro.harness.cache` unless ``--no-cache``
 (or ``REPRO_CACHE=0``) is given.
 
-``--timeout``/``--retries`` turn on the resilience layer
-(docs/robustness.md): per-run watchdog + wall-clock deadline, retries with
-backoff, dead-worker recovery.  A sweep that still cannot complete prints
-the per-run outcome summary and exits with status 3 — completed runs stay
-cached, so the re-run only repeats the failures.
+Every grid runs through the resilience layer (docs/robustness.md): a
+failing run is retried with backoff (2 retries by default), a dead
+worker's pool is rebuilt, and a run that fails 3 times is quarantined.
+``--timeout`` adds a per-run wall-clock deadline and gives the in-run
+watchdog the same bound; ``--retries`` sets the retry budget.  A sweep
+that still cannot complete prints the per-run outcome summary and exits
+with status 3 — completed runs stay cached, so the re-run only repeats
+the failures.
 """
 
 from __future__ import annotations
@@ -112,16 +115,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-run wall-clock deadline; enables the resilient grid "
-             "(hung runs are killed and retried) and the in-run watchdog",
+        help="per-run wall-clock deadline: a hung run is killed and "
+             "retried, and the in-run watchdog gets the same wall-clock "
+             "bound (default: no deadline)",
     )
     parser.add_argument(
         "--retries",
         type=int,
         default=None,
         metavar="N",
-        help="retries per failing run before it is reported (default 2 "
-             "when --timeout is given); enables the resilient grid",
+        help="retries per failing run before it is reported (default 2); "
+             "every grid retries with backoff whether or not it is given",
     )
     parser.add_argument(
         "--profile",
@@ -230,15 +234,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    policy = None
-    watchdog = None
-    if args.timeout is not None or args.retries is not None:
-        policy = FaultPolicy(
-            timeout=args.timeout,
-            retries=args.retries if args.retries is not None else 2,
-        )
-        if args.timeout is not None:
-            watchdog = WatchdogConfig(max_wall_seconds=args.timeout)
+    policy = FaultPolicy(
+        timeout=args.timeout,
+        retries=2 if args.retries is None else args.retries,
+    )
+    watchdog = (None if args.timeout is None
+                else WatchdogConfig(max_wall_seconds=args.timeout))
 
     if args.experiment == "serve":
         return _serve(args, policy, watchdog)

@@ -59,7 +59,6 @@ __all__ = [
     "encode_service_plan",
     "freeze_admission",
     "injected_faults",
-    "injected_service_faults",
     "maybe_fire",
     "parse_plan",
     "parse_service_plan",
@@ -221,26 +220,6 @@ def parse_service_plan(text: str) -> List[ServiceFaultSpec]:
         specs.append(ServiceFaultSpec(kind=kind, point=point,
                                       count=int(count)))
     return specs
-
-
-@contextmanager
-def injected_service_faults(specs: Sequence[ServiceFaultSpec],
-                            claim_dir: str) -> Iterator[None]:
-    """Arm daemon faults for every process spawned while open."""
-    os.makedirs(claim_dir, exist_ok=True)
-    old_plan = os.environ.get(SERVICE_FAULTS_ENV)
-    old_dir = os.environ.get(FAULT_DIR_ENV)
-    os.environ[SERVICE_FAULTS_ENV] = encode_service_plan(specs)
-    os.environ[FAULT_DIR_ENV] = claim_dir
-    try:
-        yield
-    finally:
-        for env, old in ((SERVICE_FAULTS_ENV, old_plan),
-                         (FAULT_DIR_ENV, old_dir)):
-            if old is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = old
 
 
 def service_fault(point: str) -> Optional[str]:

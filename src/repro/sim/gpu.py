@@ -134,9 +134,7 @@ class GPU:
         cfg = self.config
         wheel = self.wheel
         sms = self.sms
-        # Pre-bound SM pumps (resolved once, not per cycle).  Bound at run
-        # start so instance-level wrappers installed beforehand (e.g.
-        # harness.inspect.StateSampler) are honored.
+        # Pre-bound SM pumps (resolved once, not per cycle).
         sm_cycles = [sm.cycle for sm in sms]
         hierarchy = self.hierarchy
         storages = self._storages

@@ -384,6 +384,19 @@ class TestCLIResilience:
         assert runner.policy == FaultPolicy(timeout=300.0, retries=2)
         assert runner.watchdog == WatchdogConfig(max_wall_seconds=300.0)
 
+    def test_no_flags_keep_the_default_retry_budget(self, monkeypatch):
+        from repro.harness import cli
+
+        seen = []
+        monkeypatch.setattr(
+            cli, "_dispatch_runner",
+            lambda args, runner, names: seen.append(runner) or 0,
+        )
+        assert cli.main(["stalls", "bfs", "--no-cache"]) == 0
+        (runner,) = seen
+        assert runner.policy == FaultPolicy(timeout=None, retries=2)
+        assert runner.watchdog is None
+
     def test_unrecoverable_sweep_exits_nonzero(self, tmp_path, capsys):
         from repro.harness import cli
 

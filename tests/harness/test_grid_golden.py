@@ -1,18 +1,21 @@
 """Grid equivalence against committed golden SimStats.
 
-Two goldens pin the simulated results (cycles, instructions, counters,
+Three goldens pin the simulated results (cycles, instructions, counters,
 stall bins) under all five backends:
 
 * ``tests/golden/simstats_bfs_nw.json``: bfs, nw and hotspot at the
   default config, from before the event-driven issue-core and
   demand-clocked component reworks;
+* ``tests/golden/simstats_default21.json``: all 21 kernels at the
+  default config.  Tier-1 checks only that it holds the 15 cells above;
+  CI's ``claims`` job compares every cell with its sanitizer run;
 * ``tests/golden/simstats_small21.json``: all 21 kernels at
   ``test_validate``'s small config (``warps_per_sm=16,
   schedulers_per_sm=2, cta_size_warps=8``).
 
 Host-speed work (those reworks included) must keep simulated results
 **bit-identical**.  Any intentional change to simulated behavior must
-regenerate both goldens (see docs/performance.md), and
+regenerate the three (see docs/performance.md), and
 ``tests/golden/simstats_random.json``, in the same commit and say why.
 """
 
@@ -82,6 +85,15 @@ def small_runner():
 def test_simstats_match_golden(runner, golden, name, backend):
     _assert_matches(runner.run(name, backend).stats,
                     golden[f"{name}/{backend}"])
+
+
+def test_default21_holds_the_bfs_nw_cells(golden):
+    default21 = json.loads(
+        (GOLDEN_DIR / "simstats_default21.json").read_text())
+    assert set(default21) == {f"{n}/{b}" for n in workload_names()
+                              for b in BACKENDS}
+    for cell, want in golden.items():
+        assert default21[cell] == want, cell
 
 
 @pytest.mark.parametrize("name,backend", _SMALL21_CELLS)

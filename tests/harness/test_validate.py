@@ -1,6 +1,8 @@
 import pytest
 
-from repro.harness import SuiteRunner, render_claims, validate_claims
+from repro.harness import (EXPERIMENTS, SuiteRunner, render_claims,
+                           validate_claims)
+from repro.harness.validate import CLAIMS
 from repro.sim import GPUConfig
 
 
@@ -28,6 +30,10 @@ class TestValidation:
         assert runtime.ok, runtime.render()
         rf = next(c for c in claims if "register-structure energy" in c.statement)
         assert rf.ok, rf.render()
+
+    def test_every_experiment_but_the_breakdown_has_claims(self):
+        assert set(CLAIMS) <= set(EXPERIMENTS)
+        assert set(EXPERIMENTS) - set(CLAIMS) == {"breakdown"}
 
     def test_render(self, claims):
         text = render_claims(claims)
