@@ -32,9 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
-__all__ = ["EnergyParams", "EnergyBreakdown", "EnergyModel", "BASELINE_RF_ENTRIES"]
+__all__ = ["EnergyParams", "EnergyBreakdown", "EnergyModel",
+           "BASELINE_RF_ENTRIES", "RFV_ENTRIES", "OSU_ENTRIES"]
 
+#: Per-SM sizes in 128-byte warp-registers: each storage splits its size
+#: over the SM's shards, and this model charges the per-SM size.
 BASELINE_RF_ENTRIES = 2048
+RFV_ENTRIES = BASELINE_RF_ENTRIES // 2  # RFV's half-size physical file
+OSU_ENTRIES = 512  # the paper's RegLess design point, 25 % of the RF
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,8 @@ class EnergyBreakdown:
 
 
 class EnergyModel:
-    """Maps (counters, cycles, backend) -> energy."""
+    """Maps (counters, cycles, backend) -> energy.  ``counters`` are
+    GPU-wide; ``cycles`` counts SM-cycles (run cycles x SM count)."""
 
     def __init__(self, params: EnergyParams = EnergyParams()):
         self.params = params
@@ -109,8 +115,7 @@ class EnergyModel:
         counters: Mapping[str, float],
         cycles: int,
         backend: str,
-        osu_entries: int = 512,
-        rfv_entries: int = 1024,
+        osu_entries: int = OSU_ENTRIES,
     ) -> float:
         p = self.params
         get = lambda k: counters.get(k, 0.0)  # noqa: E731
@@ -122,8 +127,8 @@ class EnergyModel:
             return dyn + p.static_power(BASELINE_RF_ENTRIES) * cycles
 
         if backend == "rfv":
-            dyn = (get("rfv_read") + get("rfv_write")) * p.access_energy(rfv_entries)
-            return dyn + p.static_power(rfv_entries) * cycles
+            dyn = (get("rfv_read") + get("rfv_write")) * p.access_energy(RFV_ENTRIES)
+            return dyn + p.static_power(RFV_ENTRIES) * cycles
 
         if backend == "rfh":
             dyn = (get("rf_read") + get("rf_write")) * p.access_energy(
@@ -162,12 +167,11 @@ class EnergyModel:
         counters: Mapping[str, float],
         cycles: int,
         backend: str,
-        osu_entries: int = 512,
-        rfv_entries: int = 1024,
+        osu_entries: int = OSU_ENTRIES,
     ) -> EnergyBreakdown:
         p = self.params
         get = lambda k: counters.get(k, 0.0)  # noqa: E731
-        rf = self.rf_energy(counters, cycles, backend, osu_entries, rfv_entries)
+        rf = self.rf_energy(counters, cycles, backend, osu_entries)
         exec_e = get("insn_issued") * p.exec_per_insn
         metadata = get("metadata_issue") * p.metadata_fetch
         memory = (

@@ -87,6 +87,7 @@ from typing import (
     Union,
 )
 
+from ..energy.model import OSU_ENTRIES
 from ..sim.watchdog import SimulationHang, WatchdogConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,7 +116,7 @@ class RunRequest:
 
     benchmark: str
     backend: str
-    osu_entries: int = 512
+    osu_entries: int = OSU_ENTRIES
     window_series: Tuple[str, ...] = ()
     #: sorted ``GPUConfig`` override items (e.g. ``(("scheduler", "lrr"),)``).
     overrides: Tuple[Tuple[str, Any], ...] = ()
@@ -125,7 +126,7 @@ class RunRequest:
         cls,
         benchmark: str,
         backend: str,
-        osu_entries: int = 512,
+        osu_entries: int = OSU_ENTRIES,
         window_series: Sequence[str] = (),
         **overrides: Any,
     ) -> "RunRequest":

@@ -27,7 +27,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..compiler.pipeline import CompiledKernel, compile_kernel
-from ..energy.model import EnergyBreakdown, EnergyModel
+from ..energy.model import OSU_ENTRIES, EnergyBreakdown, EnergyModel
 from ..obs.metrics import MetricsRegistry
 from ..regfile import BaselineRF, RFHStorage, RFVStorage
 from ..regfile.base import OperandStorage
@@ -223,7 +223,7 @@ class SuiteRunner:
         self,
         backend: str,
         compiled: CompiledKernel,
-        osu_entries: int = 512,
+        osu_entries: int = OSU_ENTRIES,
     ) -> Callable[[int, int], OperandStorage]:
         if backend == "baseline":
             return lambda sm, sh: BaselineRF()
@@ -231,13 +231,9 @@ class SuiteRunner:
             return lambda sm, sh: RFHStorage(compiled)
         if backend == "rfv":
             return lambda sm, sh: RFVStorage(compiled)
-        if backend == "regless":
-            rcfg = ReglessConfig(osu_entries_per_sm=osu_entries)
-            return lambda sm, sh: ReglessStorage(compiled, rcfg)
-        if backend == "regless-nc":
-            rcfg = ReglessConfig(
-                osu_entries_per_sm=osu_entries, compressor_enabled=False
-            )
+        if backend in ("regless", "regless-nc"):
+            rcfg = ReglessConfig(osu_entries_per_sm=osu_entries,
+                                 compressor_enabled=backend == "regless")
             return lambda sm, sh: ReglessStorage(compiled, rcfg)
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -248,7 +244,7 @@ class SuiteRunner:
         (:meth:`storage_factory`) and energy model have no OSU.  Memo
         keys, cache keys and grid dedupe use it, so requests that differ
         only in a capacity their backend never reads are one run."""
-        return osu_entries if backend in ("regless", "regless-nc") else 512
+        return osu_entries if backend in ("regless", "regless-nc") else OSU_ENTRIES
 
     # -- keys ------------------------------------------------------------------
 
@@ -321,7 +317,7 @@ class SuiteRunner:
         self,
         benchmark: str,
         backend: str,
-        osu_entries: int = 512,
+        osu_entries: int = OSU_ENTRIES,
         window_series: Tuple[str, ...] = (),
         **config_overrides,
     ) -> RunResult:
@@ -368,8 +364,9 @@ class SuiteRunner:
         model_backend = (
             "regless" if request.backend == "regless-nc" else request.backend
         )
+        # Counters are GPU-wide; static power is charged per SM-cycle.
         energy = self.energy_model.gpu_energy(
-            stats.counters, stats.cycles, model_backend,
+            stats.counters, stats.cycles * cfg.n_sms, model_backend,
             osu_entries=request.osu_entries,
         )
         t_done = time.perf_counter()
@@ -516,7 +513,7 @@ class SuiteRunner:
         self,
         names: Optional[Sequence[str]] = None,
         backends: Sequence[str] = BACKENDS,
-        osu_entries: Sequence[int] = (512,),
+        osu_entries: Sequence[int] = (OSU_ENTRIES,),
         window_series: Tuple[str, ...] = (),
         jobs: Optional[int] = None,
         **config_overrides,

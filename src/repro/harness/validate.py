@@ -35,9 +35,11 @@ class Claim:
 
     def render(self) -> str:
         status = "PASS" if self.ok else "FAIL"
+        # Three decimals, or three significant digits for a small share.
+        spec = ".3g" if 0 < abs(self.measured) < 0.01 else ".3f"
         return (
             f"[{status}] {self.source}: {self.statement}\n"
-            f"       paper: {self.paper_value}   measured: {self.measured:.3f}"
+            f"       paper: {self.paper_value}   measured: {self.measured:{spec}}"
         )
 
 

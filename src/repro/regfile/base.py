@@ -138,8 +138,14 @@ class CTAOccupancyMixin:
     warp's full register allocation, so only ``rf_entries / regs_per_warp``
     warps fit per SM.  Residency is granted per CTA (barriers synchronize a
     whole CTA, so admitting partial CTAs would deadlock); when a resident
-    CTA finishes, the next one launches.
+    CTA finishes, the next one launches.  The storage's ``entries_per_sm``
+    is split over the SM's shards at :meth:`attach`.
     """
+
+    def attach(self, shard) -> None:
+        super().attach(shard)
+        self.init_occupancy(shard, shard.sm.compiled.kernel.num_regs,
+                            self.entries_per_sm)
 
     def init_occupancy(self, shard, num_regs: int, rf_entries_per_sm: int) -> None:
         cfg = shard.sm.config

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..energy.model import BASELINE_RF_ENTRIES
 from ..isa.instructions import Instruction
 from .base import CTAOccupancyMixin, OperandStorage
 
@@ -29,14 +30,9 @@ class BaselineRF(CTAOccupancyMixin, OperandStorage):
 
     name = "baseline"
 
-    def __init__(self, entries_per_sm: int = 2048):
+    def __init__(self, entries_per_sm: int = BASELINE_RF_ENTRIES):
         super().__init__()
         self.entries_per_sm = entries_per_sm
-
-    def attach(self, shard) -> None:
-        super().attach(shard)
-        num_regs = shard.sm.compiled.kernel.num_regs
-        self.init_occupancy(shard, num_regs, self.entries_per_sm)
 
     def can_issue(self, warp: "Warp", pc: int, insn: Instruction) -> bool:
         return self.is_resident(warp)

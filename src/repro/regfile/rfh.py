@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..compiler.pipeline import CompiledKernel
+from ..energy.model import BASELINE_RF_ENTRIES
 from ..isa.instructions import Instruction
 from .base import CTAOccupancyMixin, OperandStorage
 
@@ -125,16 +126,11 @@ class RFHStorage(CTAOccupancyMixin, OperandStorage):
     name = "rfh"
 
     def __init__(self, compiled: CompiledKernel, orf_entries: int = 16,
-                 orf_window: int = 16, mrf_entries_per_sm: int = 2048):
+                 orf_window: int = 16, mrf_entries_per_sm: int = BASELINE_RF_ENTRIES):
         super().__init__()
         self.compiled = compiled
-        self.mrf_entries_per_sm = mrf_entries_per_sm
+        self.entries_per_sm = mrf_entries_per_sm
         self.assignment = assign_levels(compiled, orf_entries, orf_window)
-
-    def attach(self, shard) -> None:
-        super().attach(shard)
-        num_regs = shard.sm.compiled.kernel.num_regs
-        self.init_occupancy(shard, num_regs, self.mrf_entries_per_sm)
 
     def can_issue(self, warp: "Warp", pc: int, insn: Instruction) -> bool:
         return self.is_resident(warp)

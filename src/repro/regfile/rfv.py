@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Set, Tuple
 
 from ..compiler.pipeline import CompiledKernel
+from ..energy.model import RFV_ENTRIES
 from ..isa.instructions import Instruction
 from .base import OperandStorage
 
@@ -44,10 +45,10 @@ class RFVStorage(OperandStorage):
     #: opens (renaming deadlock avoidance; counted in ``rfv_overflow``).
     EMERGENCY_CYCLES = 2000
 
-    def __init__(self, compiled: CompiledKernel, phys_regs_per_shard: int = 256):
+    def __init__(self, compiled: CompiledKernel, entries_per_sm: int = RFV_ENTRIES):
         super().__init__()
         self.compiled = compiled
-        self.capacity = phys_regs_per_shard
+        self.entries_per_sm = entries_per_sm
         self._deaths = compiled.liveness.death_map()
         #: live rename mappings: (warp id, architectural reg) present.
         self._mapped: Set[Tuple[int, int]] = set()
@@ -60,6 +61,10 @@ class RFVStorage(OperandStorage):
         #: ``_needed_allocations`` for the same instruction every cycle
         #: (can_issue + stall_reason) until something actually changes.
         self._need_cache: Dict[int, Tuple[Instruction, int, int]] = {}
+
+    def attach(self, shard) -> None:
+        super().attach(shard)
+        self.capacity = self.entries_per_sm // shard.sm.config.schedulers_per_sm
 
     # -- allocation bookkeeping ----------------------------------------------
 

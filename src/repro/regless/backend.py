@@ -49,6 +49,7 @@ class ReglessStorage(OperandStorage):
         super().attach(shard)
         sm = shard.sm
         cfg = sm.config
+        rcfg, shards = self.rcfg, cfg.schedulers_per_sm  # sizes are per SM
         self._warp_by_id = {w.wid: w for w in shard.warps}
         mapping = RegisterMapping(
             n_warps=cfg.warps_per_sm * cfg.n_sms,
@@ -58,11 +59,12 @@ class ReglessStorage(OperandStorage):
         compressor = Compressor(
             sm.counters,
             mapping,
-            cache_lines=self.rcfg.compressor_cache_lines,
-            enabled=self.rcfg.compressor_enabled,
+            cache_lines=rcfg.compressor_lines_per_sm // shards,
+            enabled=rcfg.compressor_enabled,
         )
         self.osu = OperandStagingUnit(
-            self.rcfg,
+            rcfg,
+            rcfg.osu_entries_per_sm // shards // rcfg.banks_per_shard,
             sm.counters,
             sm.wheel,
             sm.l1,

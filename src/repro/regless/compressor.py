@@ -60,7 +60,7 @@ class Compressor:
         self,
         counters: Counters,
         mapping: RegisterMapping,
-        cache_lines: int = 12,
+        cache_lines: int,
         enabled: bool = True,
     ):
         self.counters = counters

@@ -1,14 +1,16 @@
 """RegLess hardware parameters.
 
-The paper's design point is 512 OSU entries per SM (25% of the baseline
-2048-entry register file), split across 4 shards (one per warp scheduler) of
-8 banks each: 512 / 4 / 8 = 16 lines per bank.  Figure 13 sweeps capacities
-128..1024.
+Sizes are per SM: the paper's design point is 512 OSU entries (25% of the
+2048-entry baseline RF) and 48 compressor lines.  ``ReglessStorage.attach``
+splits them over the SM's shards, one per warp scheduler, of 8 banks each: at
+4 schedulers, 512 / 4 / 8 = 16 lines per bank.  Figure 13 sweeps 128..1024.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+from ..energy.model import OSU_ENTRIES
 
 __all__ = ["ReglessConfig"]
 
@@ -18,11 +20,10 @@ class ReglessConfig:
     """Configuration of one SM's RegLess hardware."""
 
     #: total OSU entries per SM (one entry = one 128-byte warp-register).
-    osu_entries_per_sm: int = 512
-    shards_per_sm: int = 4
+    osu_entries_per_sm: int = OSU_ENTRIES
     banks_per_shard: int = 8
-    #: compressed-register cache lines per compressor (paper: 48 per SM).
-    compressor_cache_lines: int = 12
+    #: compressed-register cache lines per SM.
+    compressor_lines_per_sm: int = 48
     #: enable the pattern compressor (Figure 16's no-compressor ablation).
     compressor_enabled: bool = True
     #: extra pipeline cycles for a preload that misses the OSU (bit-vector
@@ -41,14 +42,6 @@ class ReglessConfig:
     #: ablation: eviction priority free -> clean -> dirty (paper) vs free
     #: -> dirty -> clean (``False``: a dirty line goes first when one exists).
     ordered_eviction: bool = True
-
-    @property
-    def entries_per_shard(self) -> int:
-        return self.osu_entries_per_sm // self.shards_per_sm
-
-    @property
-    def lines_per_bank(self) -> int:
-        return self.entries_per_shard // self.banks_per_shard
 
     def with_(self, **kwargs) -> "ReglessConfig":
         return replace(self, **kwargs)

@@ -175,6 +175,7 @@ class OperandStagingUnit:
     def __init__(
         self,
         config: ReglessConfig,
+        lines_per_bank: int,
         counters: Counters,
         wheel: EventWheel,
         l1: L1RegCache,
@@ -192,7 +193,7 @@ class OperandStagingUnit:
         self.value_of = value_of
         self.on_preload_done = on_preload_done
         self.banks: List[Bank] = [
-            Bank(config.lines_per_bank, config.ordered_eviction)
+            Bank(lines_per_bank, config.ordered_eviction)
             for _ in range(config.banks_per_shard)
         ]
         self._n_banks = len(self.banks)

@@ -28,6 +28,7 @@ import math
 from dataclasses import fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from ..energy.model import OSU_ENTRIES
 from ..harness.parallel import RunOutcome, RunRequest, is_positive_finite
 from ..harness.runner import BACKENDS
 from ..sim.config import GPUConfig
@@ -99,7 +100,7 @@ def request_from_wire(wire: Mapping[str, Any]) -> RunRequest:
         raise SpecError(
             f"unknown backend {backend!r} (expected one of {list(WIRE_BACKENDS)})"
         )
-    osu_entries = wire.get("osu_entries", 512)
+    osu_entries = wire.get("osu_entries", OSU_ENTRIES)
     if not isinstance(osu_entries, int) or isinstance(osu_entries, bool) \
             or osu_entries <= 0:
         raise SpecError(f"osu_entries must be a positive int, got {osu_entries!r}")
@@ -121,7 +122,7 @@ def request_from_record(wire: Mapping[str, Any]) -> RunRequest:
     """Rebuild a journaled request as it was admitted, without the
     admission checks of :func:`request_from_wire`."""
     return RunRequest.make(
-        wire["benchmark"], wire["backend"], wire.get("osu_entries", 512),
+        wire["benchmark"], wire["backend"], wire.get("osu_entries", OSU_ENTRIES),
         wire.get("window_series", ()), **wire.get("overrides", {}))
 
 

@@ -2,8 +2,8 @@
 
 The default configuration simulates a single SM: every per-SM metric in the
 paper (working set, backing-store accesses, preload locations, L1 bandwidth)
-is per-SM, and energy/run-time comparisons are relative so SM count cancels.
-``GPUConfig.gtx980()`` gives the full 16-SM machine.
+is per-SM; static energy is charged per SM-cycle, so energy ratios barely
+move with the SM count.  ``GPUConfig.gtx980()`` gives the full 16-SM machine.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class GPUConfig:
     # -- core geometry -----------------------------------------------------
     n_sms: int = 1
     warps_per_sm: int = 64
-    schedulers_per_sm: int = 4
+    schedulers_per_sm: int = 4  # one shard each; storages split per-SM sizes
     warp_width: int = 32
     issue_width: int = 2  # dual issue per scheduler (GTX 980)
     cta_size_warps: int = 8  # warps per CTA, for barriers

@@ -112,8 +112,7 @@ class GPU:
 
     # -- run loop -----------------------------------------------------------------
 
-    def run(self, window_series: Sequence[str] = (),
-            max_cycles: Optional[int] = None) -> SimStats:
+    def run(self, window_series: Sequence[str] = ()) -> SimStats:
         # The cycle loop allocates heavily (writeback continuations, scan
         # snapshots, per-cycle bin dicts) but almost everything dies by
         # refcount; generational GC only adds full-heap scans to the hot
@@ -122,13 +121,12 @@ class GPU:
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run(window_series, max_cycles)
+            return self._run(window_series)
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run(self, window_series: Sequence[str] = (),
-             max_cycles: Optional[int] = None) -> SimStats:
+    def _run(self, window_series: Sequence[str] = ()) -> SimStats:
         # The loop body runs once per simulated cycle; everything it touches
         # repeatedly is bound to a local first.
         cfg = self.config
@@ -141,8 +139,7 @@ class GPU:
         counters = self.counters
         working_set = self.working_set
         warps_total = sum(len(sm.warps) for sm in sms)
-        if max_cycles is None:
-            max_cycles = cfg.max_cycles
+        max_cycles = cfg.max_cycles
         if not max_cycles or max_cycles <= 0:
             # Safety ceiling: a config that disables the limit must still
             # terminate eventually (satisfied by the watchdog long before
@@ -337,14 +334,13 @@ def run_simulation(
     storage_factory: Callable[[int, int], "OperandStorage"],
     window_series: Sequence[str] = (),
     watchdog: Optional[Watchdog] = None,
-    max_cycles: Optional[int] = None,
 ) -> SimStats:
     """Convenience wrapper: build a GPU and run it.
 
     ``watchdog`` attaches a forward-progress monitor
-    (:mod:`repro.sim.watchdog`); ``max_cycles`` overrides the config's
-    safety ceiling for this run only.  Either way the run is bounded: a
-    config with no ceiling falls back to :data:`DEFAULT_MAX_CYCLES`.
+    (:mod:`repro.sim.watchdog`).  Either way the run is bounded by
+    ``config.max_cycles``: a config with no ceiling falls back to
+    :data:`DEFAULT_MAX_CYCLES`.
     """
     gpu = GPU(config, compiled, workload, storage_factory, watchdog=watchdog)
-    return gpu.run(window_series=window_series, max_cycles=max_cycles)
+    return gpu.run(window_series=window_series)

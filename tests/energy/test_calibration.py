@@ -61,9 +61,9 @@ class TestRelativeOrderings:
             counters, 1000, "baseline"
         )
 
-    def test_rfv_entries_parameter(self):
-        model = EnergyModel()
-        counters = {"rfv_read": 100.0}
-        small = model.rf_energy(counters, 0, "rfv", rfv_entries=512)
-        large = model.rf_energy(counters, 0, "rfv", rfv_entries=1024)
-        assert small < large
+    def test_rfv_charged_as_the_half_size_file(self):
+        p = EnergyParams()
+        half = BASELINE_RF_ENTRIES // 2
+        energy = EnergyModel(p).rf_energy({"rfv_read": 100.0}, 10, "rfv")
+        assert energy == pytest.approx(
+            100 * p.access_energy(half) + 10 * p.static_power(half))

@@ -84,6 +84,13 @@ class TestEnergyAccounting:
         rl = runner.run("bfs", "regless")
         assert rl.rf_energy < base.rf_energy
 
+    def test_static_energy_is_charged_for_every_sm(self, runner):
+        per_cycle = runner.energy_model.params.static_other_per_cycle
+        one = runner.run("bfs", "baseline")
+        two = runner.run("bfs", "baseline", n_sms=2)
+        assert one.energy.static == per_cycle * one.stats.cycles
+        assert two.energy.static == per_cycle * two.stats.cycles * 2
+
 
 class TestUnreadCapacity:
     """Only the RegLess backends read the OSU capacity, so the runner

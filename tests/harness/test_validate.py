@@ -2,7 +2,7 @@ import pytest
 
 from repro.harness import (EXPERIMENTS, SuiteRunner, render_claims,
                            validate_claims)
-from repro.harness.validate import CLAIMS
+from repro.harness.validate import CLAIMS, Claim
 from repro.sim import GPUConfig
 
 
@@ -39,3 +39,10 @@ class TestValidation:
         text = render_claims(claims)
         assert "PASS" in text
         assert "claims hold" in text
+
+    def test_render_keeps_three_digits_of_a_small_value(self):
+        small = Claim("Fig. 17", "L2/DRAM share", "0.013%", 0.00019, True)
+        assert "measured: 0.00019" in small.render()
+        for value, shown in ((0.5, "0.500"), (0.01, "0.010"), (0.0, "0.000")):
+            claim = Claim("Fig. 17", "share", "x", value, True)
+            assert f"measured: {shown}" in claim.render()

@@ -24,14 +24,15 @@ class TestRenaming:
 
 class TestPressure:
     def test_scarce_physical_registers_stall(self, loop_workload, fast_config):
+        # Per-SM sizes; the fixture's 2 shards get 16 and 256 each.
         ck = compile_kernel(loop_workload.kernel())
         tight = run_simulation(
             fast_config, ck, loop_workload,
-            lambda sm, sh: RFVStorage(ck, phys_regs_per_shard=16),
+            lambda sm, sh: RFVStorage(ck, entries_per_sm=32),
         )
         ample = run_simulation(
             fast_config, ck, loop_workload,
-            lambda sm, sh: RFVStorage(ck, phys_regs_per_shard=256),
+            lambda sm, sh: RFVStorage(ck, entries_per_sm=512),
         )
         assert tight.finished
         assert tight.counter("rfv_stall_cycles") > ample.counter("rfv_stall_cycles")
@@ -42,11 +43,11 @@ class TestPressure:
         # the run still completes because deaths free physical registers.
         ck = compile_kernel(loop_workload.kernel())
         n_live = ck.liveness.max_live()
-        warps_per_shard = fast_config.warps_per_scheduler
+        per_shard = n_live * fast_config.warps_per_scheduler + 4
         stats = run_simulation(
             fast_config, ck, loop_workload,
             lambda sm, sh: RFVStorage(
-                ck, phys_regs_per_shard=n_live * warps_per_shard + 4
+                ck, entries_per_sm=per_shard * fast_config.schedulers_per_sm
             ),
         )
         assert stats.finished

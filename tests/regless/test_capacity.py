@@ -55,40 +55,40 @@ class TestLifecycle:
 
 class TestCapacityPressure:
     def test_tiny_osu_still_completes(self, loop_workload, fast_config):
-        rcfg = ReglessConfig(osu_entries_per_sm=64, shards_per_sm=2)
+        rcfg = ReglessConfig(osu_entries_per_sm=64)
         stats = run_regless(loop_workload, fast_config, rcfg)
         assert stats.finished
 
     def test_tiny_osu_spills_to_l1(self, loop_workload, fast_config):
-        rcfg = ReglessConfig(osu_entries_per_sm=32, shards_per_sm=2)
+        rcfg = ReglessConfig(osu_entries_per_sm=32)
         small = run_regless(loop_workload, fast_config, rcfg)
         big = run_regless(loop_workload, fast_config,
-                          ReglessConfig(osu_entries_per_sm=512, shards_per_sm=2))
+                          ReglessConfig(osu_entries_per_sm=512))
         assert small.counter("l1_access") >= big.counter("l1_access")
 
     def test_larger_osu_not_slower(self, loop_workload, fast_config):
         small = run_regless(
             loop_workload, fast_config,
-            ReglessConfig(osu_entries_per_sm=64, shards_per_sm=2))
+            ReglessConfig(osu_entries_per_sm=64))
         big = run_regless(
             loop_workload, fast_config,
-            ReglessConfig(osu_entries_per_sm=1024, shards_per_sm=2))
+            ReglessConfig(osu_entries_per_sm=1024))
         assert big.cycles <= small.cycles * 1.1
 
 
 class TestAblations:
     def test_fifo_activation_still_completes(self, loop_workload, fast_config):
-        rcfg = ReglessConfig(shards_per_sm=2, warp_stack_lifo=False)
+        rcfg = ReglessConfig(warp_stack_lifo=False)
         stats = run_regless(loop_workload, fast_config, rcfg)
         assert stats.finished
 
     def test_random_eviction_still_completes(self, loop_workload, fast_config):
-        rcfg = ReglessConfig(shards_per_sm=2, ordered_eviction=False)
+        rcfg = ReglessConfig(ordered_eviction=False)
         stats = run_regless(loop_workload, fast_config, rcfg)
         assert stats.finished
 
     def test_no_compressor_still_completes(self, loop_workload, fast_config):
-        rcfg = ReglessConfig(shards_per_sm=2, compressor_enabled=False)
+        rcfg = ReglessConfig(compressor_enabled=False)
         stats = run_regless(loop_workload, fast_config, rcfg)
         assert stats.finished
         assert stats.counter("compressor_store") == 0

@@ -7,24 +7,30 @@ from repro.sim import EventWheel, GPUConfig, LaneValues
 class Rig:
     """Standalone OSU with a live memory hierarchy beneath it."""
 
-    def __init__(self, osu_entries=64, compressor_enabled=True):
+    def __init__(self, osu_entries=256, compressor_enabled=True):
+        # ``osu_entries`` per SM; the rig is one of the SM's 4 shards.
         self.cfg = GPUConfig()
         self.counters = Counters()
         self.wheel = EventWheel()
         self.hier = MemoryHierarchy(self.cfg, self.counters, self.wheel)
         self.l1 = L1RegCache(0, self.cfg, self.counters, self.wheel, self.hier)
         self.rcfg = ReglessConfig(
-            osu_entries_per_sm=osu_entries * 4,
+            osu_entries_per_sm=osu_entries,
             compressor_enabled=compressor_enabled,
         )
+        shards = self.cfg.schedulers_per_sm
+        self.lines_per_bank = osu_entries // shards // self.rcfg.banks_per_shard
         self.mapping = RegisterMapping(n_warps=16, n_regs=16)
         self.compressor = Compressor(
-            self.counters, self.mapping, enabled=compressor_enabled
+            self.counters, self.mapping,
+            self.rcfg.compressor_lines_per_sm // shards,
+            enabled=compressor_enabled,
         )
         self.values = {}
         self.done = []
         self.osu = OperandStagingUnit(
             self.rcfg,
+            self.lines_per_bank,
             self.counters,
             self.wheel,
             self.l1,
@@ -59,7 +65,7 @@ class TestPreloadSources:
         assert rig.done == [(0, "osu")]
 
     def test_materialized_register_fetched_from_memory(self):
-        rig = Rig(osu_entries=8)
+        rig = Rig(osu_entries=32)
         # Write, evict to L1 (incompressible value), erase, then preload.
         rig.values[(0, 1)] = LaneValues.random(7)
         rig.osu.reserve_write(0, 1)
@@ -73,7 +79,7 @@ class TestPreloadSources:
             for r in range(16)
             if rig.osu.bank_of(w, r) == bank and (w, r) != (0, 1)
         ]
-        for w, r in fillers[: rig.rcfg.lines_per_bank]:
+        for w, r in fillers[: rig.lines_per_bank]:
             rig.osu.reserve_write(w, r)
         rig.pump(10)  # eviction drains to L1
         assert rig.counters.get("l1_reg_store") >= 1
@@ -86,7 +92,7 @@ class TestPreloadSources:
         return rig.cfg.l1_latency + rig.cfg.l2_latency + rig.cfg.dram_latency + 20
 
     def test_compressed_eviction_comes_back_from_compressor(self):
-        rig = Rig(osu_entries=8)
+        rig = Rig(osu_entries=32)
         rig.values[(0, 1)] = LaneValues.uniform(42)  # compressible
         rig.osu.reserve_write(0, 1)
         rig.osu.complete_write(0, 1)
@@ -98,7 +104,7 @@ class TestPreloadSources:
             for r in range(16)
             if rig.osu.bank_of(w, r) == bank and (w, r) != (0, 1)
         ]
-        for w, r in fillers[: rig.rcfg.lines_per_bank]:
+        for w, r in fillers[: rig.lines_per_bank]:
             rig.osu.reserve_write(w, r)
         rig.pump(10)
         assert rig.counters.get("compressor_store") == 1
@@ -191,6 +197,6 @@ class TestRotation:
         assert rotated[(0 + 5) % 8] == usage[0]
 
     def test_reservable_respects_capacity(self):
-        rig = Rig(osu_entries=8)  # 1 line per bank
+        rig = Rig(osu_entries=32)  # 1 line per bank
         assert rig.osu.reservable([1] * 8, [0] * 8)
         assert not rig.osu.reservable([1] * 8, [1] + [0] * 7)

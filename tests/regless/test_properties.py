@@ -96,7 +96,7 @@ def test_compressor_bitvec_tracks_last_operation(events):
 def test_compressor_invalidate_idempotent(pairs):
     counters = Counters()
     mapping = RegisterMapping(n_warps=8, n_regs=8)
-    comp = Compressor(counters, mapping)
+    comp = Compressor(counters, mapping, cache_lines=12)
     for reg, warp in pairs:
         comp.begin_cycle()
         comp.try_compress(reg, warp, LaneValues.uniform(1))

@@ -122,13 +122,18 @@ class _OsuRig:
         self.wheel = EventWheel()
         self.hier = MemoryHierarchy(self.cfg, self.counters, self.wheel)
         self.l1 = L1RegCache(0, self.cfg, self.counters, self.wheel, self.hier)
-        self.rcfg = ReglessConfig(osu_entries_per_sm=64 * 4)
+        # 256 OSU entries per SM; the rig is one of the SM's 4 shards.
+        self.rcfg = ReglessConfig(osu_entries_per_sm=256)
+        shards = self.cfg.schedulers_per_sm
         self.mapping = RegisterMapping(n_warps=8, n_regs=8)
-        self.compressor = Compressor(self.counters, self.mapping)
+        self.compressor = Compressor(
+            self.counters, self.mapping,
+            self.rcfg.compressor_lines_per_sm // shards)
         self.values: dict = {}
         self.done: list = []
         self.osu = OperandStagingUnit(
             self.rcfg,
+            256 // shards // self.rcfg.banks_per_shard,
             self.counters,
             self.wheel,
             self.l1,

@@ -79,15 +79,6 @@ class TestTrips:
         assert stats.cycles >= 2000
         assert stats.counter("cycle_ceiling") == 1
 
-    def test_explicit_max_cycles_overrides_config(self):
-        ck = compile_kernel(make_spin_workload().kernel())
-        stats = run_simulation(
-            SPIN_CFG, ck, make_spin_workload(),
-            lambda sm, sh: BaselineRF(), max_cycles=1500,
-        )
-        assert not stats.finished
-        assert 1500 <= stats.cycles < 50_000
-
     def test_zero_config_ceiling_falls_back_to_default(self, loop_workload):
         # A config with no ceiling must still be bounded (and a finite
         # workload still finishes normally under the fallback).

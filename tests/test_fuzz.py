@@ -117,7 +117,7 @@ def test_fuzz_baseline_vs_regless(workload):
 @settings(max_examples=15, deadline=None)
 def test_fuzz_tiny_osu_never_deadlocks(workload):
     ck = compile_kernel(workload.kernel())
-    rcfg = ReglessConfig(osu_entries_per_sm=64, shards_per_sm=2)
+    rcfg = ReglessConfig(osu_entries_per_sm=64)
     rl = run_simulation(FAST, ck, workload,
                         lambda sm, sh: ReglessStorage(ck, rcfg))
     assert rl.finished
@@ -139,8 +139,8 @@ def test_fuzz_cycle_ceiling_always_bounds(workload, ceiling):
     """No workload can spin past the safety ceiling, and a run that does
     finish under it never reports a ceiling hit."""
     ck = compile_kernel(workload.kernel())
-    stats = run_simulation(FAST, ck, workload, lambda sm, sh: BaselineRF(),
-                           max_cycles=ceiling)
+    stats = run_simulation(FAST.with_(max_cycles=ceiling), ck, workload,
+                           lambda sm, sh: BaselineRF())
     # bounded: the loop stops at the ceiling, modulo one fast-forward jump
     assert stats.cycles <= ceiling + 1024
     if stats.finished:
